@@ -58,11 +58,8 @@ func benchFigure(b *testing.B, m, n int) {
 		})
 		for _, c := range benchCores[1:] {
 			b.Run(fmt.Sprintf("parPTAS/%v/workers=%d", fam, c), func(b *testing.B) {
-				pool := par.NewPool(c)
-				defer pool.Close()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3, Workers: c, Pool: pool}); err != nil {
+					if _, _, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3, Workers: c}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -135,12 +132,9 @@ func BenchmarkAblationLevelMode(b *testing.B) {
 	in := ablationInstance(b)
 	for _, mode := range []dp.LevelMode{dp.LevelBuckets, dp.LevelScan} {
 		b.Run(mode.String(), func(b *testing.B) {
-			pool := par.NewPool(4)
-			defer pool.Close()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := core.Solve(context.Background(), in, core.Options{
-					Epsilon: 0.3, Workers: 4, Pool: pool, LevelMode: mode,
+					Epsilon: 0.3, Workers: 4, LevelMode: mode,
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -155,12 +149,9 @@ func BenchmarkAblationParFor(b *testing.B) {
 	in := ablationInstance(b)
 	for _, strategy := range par.Strategies {
 		b.Run(strategy.String(), func(b *testing.B) {
-			pool := par.NewPool(4)
-			defer pool.Close()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := core.Solve(context.Background(), in, core.Options{
-					Epsilon: 0.3, Workers: 4, Pool: pool, Strategy: strategy,
+					Epsilon: 0.3, Workers: 4, Strategy: strategy,
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -276,13 +267,12 @@ func BenchmarkDPFillScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkDPFillPruned compares the optimized fill path (Jobs-sorted pruned
-// configuration scan, odometer decoding, config-outer sequential sweep)
-// against the seed path (LegacyFill: division decode, full configuration
-// scan) on the rounded tables the Fig. 2-4 workloads actually produce. The
-// differential tests prove both paths fill bit-identical tables, so ns/op is
-// the only difference. `cmd/schedbench dp -json` captures the same grid in
-// BENCH_dp.json.
+// BenchmarkDPFillPruned compares the sequential config-outer sweep with the
+// paper's level-synchronous parallel fill (Jobs-sorted pruned configuration
+// scan, odometer decoding) on the rounded tables the Fig. 2-4 workloads
+// actually produce. The differential tests prove both fill bit-identical
+// tables, so ns/op is the only difference. `cmd/schedbench dp -json`
+// captures the same grid, plus the adaptive fill, in BENCH_dp.json.
 func BenchmarkDPFillPruned(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -310,27 +300,19 @@ func BenchmarkDPFillPruned(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, legacy := range []bool{false, true} {
-			path := "optimized"
-			if legacy {
-				path = "legacy"
+		b.Run(fmt.Sprintf("%s/%v/seq", shape.name, shape.fam), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tbl.FillSequential()
 			}
-			b.Run(fmt.Sprintf("%s/%v/seq/%s", shape.name, shape.fam, path), func(b *testing.B) {
-				tbl.LegacyFill = legacy
-				for i := 0; i < b.N; i++ {
-					tbl.FillSequential()
-				}
-			})
-			b.Run(fmt.Sprintf("%s/%v/buckets-4/%s", shape.name, shape.fam, path), func(b *testing.B) {
-				pool := par.NewPool(4)
-				defer pool.Close()
-				tbl.LegacyFill = legacy
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tbl.FillParallel(pool, dp.LevelBuckets, par.RoundRobin)
-				}
-			})
-		}
+		})
+		b.Run(fmt.Sprintf("%s/%v/buckets-4", shape.name, shape.fam), func(b *testing.B) {
+			pool := par.NewPool(4)
+			defer pool.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tbl.FillParallel(pool, dp.LevelBuckets, par.RoundRobin)
+			}
+		})
 	}
 }
 
@@ -436,32 +418,6 @@ func BenchmarkExactTriplets(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationDataflow compares the paper's level-synchronous parallel
-// fill against the barrier-free dataflow fill.
-func BenchmarkAblationDataflow(b *testing.B) {
-	in := ablationInstance(b)
-	b.Run("level-sync", func(b *testing.B) {
-		pool := par.NewPool(4)
-		defer pool.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3, Workers: 4, Pool: pool}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dataflow", func(b *testing.B) {
-		pool := par.NewPool(4)
-		defer pool.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3, Workers: 4, Pool: pool, Dataflow: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationMultiFitHeuristic compares the FFD and BFD inner packing

@@ -2,80 +2,56 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
-	"repro/internal/par"
+	"repro/internal/dp"
 	"repro/internal/workload"
 )
 
-// TestAutoFillMatchesSequential checks the AutoFill route end to end: same
-// schedule as the sequential reference, and Stats.Auto accounts for every
-// anti-diagonal level the bisection filled.
+// TestAutoFillMatchesSequential checks the AutoFill route end to end: the
+// same makespan as the sequential reference, and Stats.Auto reporting the
+// routing — all levels inline below the whole-table cutover, dispatched
+// levels above it, and nothing at all on the Algorithm 3 route. Job-for-job
+// schedule identity across routes is TestAdaptiveFillIdenticalResults.
 func TestAutoFillMatchesSequential(t *testing.T) {
-	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 8, N: 60, Seed: 11})
-	ref, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4, AutoFill: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Makespan(in) != ref.Makespan(in) {
-		t.Fatalf("AutoFill makespan %d != sequential %d", got.Makespan(in), ref.Makespan(in))
-	}
-	total := st.Auto.LevelsInline + st.Auto.LevelsFused + st.Auto.LevelsParallel
-	if total == 0 {
-		t.Fatalf("Stats.Auto empty after an AutoFill solve: %+v", st.Auto)
-	}
-}
-
-// TestAutoFillExternalBarrierPool reuses one caller-owned barrier pool
-// across several solves, mirroring the external Pool contract.
-func TestAutoFillExternalBarrierPool(t *testing.T) {
-	bp := par.NewBarrierPool(4)
-	defer bp.Close()
-	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 6, N: 40, Seed: 3})
-	ref, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		got, st, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4, AutoFill: true, BarrierPool: bp})
+	for _, tc := range []struct {
+		spec     workload.Spec
+		dispatch bool // some probe builds a table above dp's sequential cutover
+	}{
+		{workload.Spec{Family: workload.U1_100, M: 8, N: 50, Seed: 3}, false},
+		{workload.Spec{Family: workload.Um_2m1, M: 20, N: 41, Seed: 3}, true},
+	} {
+		in := workload.MustGenerate(tc.spec)
+		ref, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 1})
 		if err != nil {
-			t.Fatalf("reuse %d: %v", i, err)
+			t.Fatal(err)
+		}
+
+		got, st, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4, AutoFill: true})
+		if err != nil {
+			t.Fatal(err)
 		}
 		if got.Makespan(in) != ref.Makespan(in) {
-			t.Fatalf("reuse %d: makespan %d != %d", i, got.Makespan(in), ref.Makespan(in))
+			t.Fatalf("%v: AutoFill makespan %d != sequential %d", tc.spec.Family, got.Makespan(in), ref.Makespan(in))
 		}
-		if st.Auto.LevelsInline+st.Auto.LevelsFused+st.Auto.LevelsParallel == 0 {
-			t.Fatalf("reuse %d: Stats.Auto empty", i)
+		a := st.Auto
+		if a.LevelsInline+a.LevelsFused+a.LevelsParallel == 0 {
+			t.Fatalf("%v: Stats.Auto empty after an AutoFill solve", tc.spec.Family)
 		}
-	}
-	// The caller's pool must survive the solves.
-	var n int
-	bp.For(1, func(int) { n++ })
-	if n != 1 {
-		t.Fatal("barrier pool unusable after solves")
-	}
-}
+		switch {
+		case !tc.dispatch && (a.LevelsFused != 0 || a.LevelsParallel != 0):
+			t.Fatalf("%v: tables below the cutover dispatched levels: %+v", tc.spec.Family, a)
+		case tc.dispatch && runtime.GOMAXPROCS(0) >= 2 && a.LevelsFused+a.LevelsParallel == 0:
+			t.Fatalf("%v: tables above the cutover ran every level inline: %+v", tc.spec.Family, a)
+		}
 
-// TestAutoFillIgnoredWithDataflow pins the precedence: Dataflow keeps its
-// dedicated fill even when AutoFill is requested.
-func TestAutoFillIgnoredWithDataflow(t *testing.T) {
-	in := workload.MustGenerate(workload.Spec{Family: workload.U1_10, M: 5, N: 30, Seed: 7})
-	ref, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4, AutoFill: true, Dataflow: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Makespan(in) != ref.Makespan(in) {
-		t.Fatalf("makespan %d != %d", got.Makespan(in), ref.Makespan(in))
-	}
-	if st.Auto.LevelsInline+st.Auto.LevelsFused+st.Auto.LevelsParallel != 0 {
-		t.Fatalf("Dataflow solve reported adaptive routing: %+v", st.Auto)
+		_, st, err = Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Auto != (dp.AutoStats{}) {
+			t.Fatalf("%v: Algorithm 3 route reported adaptive routing: %+v", tc.spec.Family, st.Auto)
+		}
 	}
 }

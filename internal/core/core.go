@@ -80,8 +80,10 @@ type Options struct {
 	// Epsilon is the relative error; the algorithm is a (1+Epsilon)
 	// approximation. The paper's experiments use 0.3.
 	Epsilon float64
-	// Workers is the number of DP workers P. 1 runs the sequential PTAS;
-	// values below 1 select GOMAXPROCS.
+	// Workers is the number of DP workers P. 1 runs the sequential PTAS,
+	// filling with SeqFill; more run a parallel fill (FillAutoCtx with
+	// AutoFill, the paper's Algorithm 3 otherwise) on a pool Solve creates
+	// and closes itself. Values below 1 select GOMAXPROCS.
 	Workers int
 	// Strategy schedules level entries onto workers (default RoundRobin,
 	// the paper's round-robin assignment).
@@ -103,21 +105,13 @@ type Options struct {
 	// is an extension beyond the paper, which parallelizes within one DP
 	// fill; see speculative.go. Values <= 1 use the paper's bisection.
 	SpeculativeProbes int
-	// Dataflow replaces the paper's level-synchronous parallel fill with
-	// the barrier-free dependency-counter fill (dp.FillDataflow) when
-	// Workers != 1. An extension/ablation; results are identical.
-	Dataflow bool
-	// AdaptiveFill lets the driver fall back to the sequential fill for
-	// tables too small to amortize per-level barriers, even when
-	// Workers > 1. The EXPERIMENTS.md ablations show paper-scale tables
-	// (sigma < ~10^4) are barrier-bound; this is the practical default a
-	// production caller wants (the solver facade enables it).
-	AdaptiveFill bool
-	// AutoFill routes parallel fills through dp.FillAutoCtx on a persistent
-	// barrier pool instead of the per-level Pool dispatch: narrow levels run
-	// inline, runs of mid-width levels fuse into one dispatch, and only wide
-	// levels fan out. Ignored when Workers == 1 or Dataflow is set. Stats.Auto
-	// reports how levels were routed. The solver facade enables it by default.
+	// AutoFill routes parallel fills through dp.FillAutoCtx on a barrier
+	// pool instead of the paper's Algorithm 3 (dp.FillParallelCtx with
+	// LevelMode and Strategy): tables too small to amortize any dispatch cut
+	// over to the sequential sweep, narrow levels run inline, runs of
+	// mid-width levels fuse into one dispatch, and only wide levels fan out.
+	// Ignored when Workers == 1. Stats.Auto reports how levels were routed.
+	// The solver facade enables it unless PaperFaithful is set.
 	AutoFill bool
 	// TimeLimit aborts the solve with ErrTimeLimit when exceeded. It is a
 	// back-compat shim over context deadlines: Solve installs it via
@@ -137,14 +131,6 @@ type Options struct {
 	MaxTableEntries int64
 	// MaxConfigs caps configuration enumeration; <= 0 uses the conf default.
 	MaxConfigs int
-	// Pool optionally supplies an externally managed worker pool, reused
-	// across Solve calls. When nil and Workers != 1, Solve creates and
-	// closes its own pool.
-	Pool *par.Pool
-	// BarrierPool optionally supplies an externally managed barrier pool for
-	// AutoFill, reused across Solve calls. When nil and AutoFill applies,
-	// Solve creates and closes its own.
-	BarrierPool *par.BarrierPool
 	// Sparsify enables the sparsified DP pipeline (the ptas-sparse registry
 	// algorithm): geometric grouping of the rounded size classes (see
 	// split.group) shrinks the table's index space, and the sparse
@@ -395,18 +381,12 @@ func Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedu
 	)
 	workers := par.Normalize(opts.Workers)
 	if workers > 1 {
-		if opts.AutoFill && !opts.Dataflow {
-			bpool = opts.BarrierPool
-			if bpool == nil {
-				bpool = par.NewBarrierPool(workers)
-				defer bpool.Close()
-			}
+		if opts.AutoFill {
+			bpool = par.NewBarrierPool(workers)
+			defer bpool.Close()
 		} else {
-			pool = opts.Pool
-			if pool == nil {
-				pool = par.NewPool(workers)
-				defer pool.Close()
-			}
+			pool = par.NewPool(workers)
+			defer pool.Close()
 		}
 	}
 

@@ -281,25 +281,6 @@ func TestPaperFaithfulVariantsIdenticalMakespan(t *testing.T) {
 	}
 }
 
-func TestExternalPoolReuse(t *testing.T) {
-	pool := par.NewPool(4)
-	defer pool.Close()
-	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 6, N: 40, Seed: 3})
-	ref, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		got, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4, Pool: pool})
-		if err != nil {
-			t.Fatalf("reuse %d: %v", i, err)
-		}
-		if got.Makespan(in) != ref.Makespan(in) {
-			t.Fatalf("reuse %d: makespan %d != %d", i, got.Makespan(in), ref.Makespan(in))
-		}
-	}
-}
-
 func TestTableBudgetError(t *testing.T) {
 	// A tiny entry budget must surface dp.ErrTableTooLarge through Solve.
 	in := workload.MustGenerate(workload.Spec{Family: workload.Um_2m1, M: 20, N: 41, Seed: 1})

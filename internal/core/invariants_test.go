@@ -131,43 +131,36 @@ func TestSpeculativeWithPaperFaithful(t *testing.T) {
 	}
 }
 
-// TestDataflowFillThroughDriver checks the barrier-free fill end to end.
-func TestDataflowFillThroughDriver(t *testing.T) {
-	in := workload.MustGenerate(workload.Spec{Family: workload.Um_2m1, M: 10, N: 21, Seed: 23})
-	ref, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4, Dataflow: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range ref.Assignment {
-		if ref.Assignment[j] != got.Assignment[j] {
-			t.Fatalf("job %d differs under dataflow fill", j)
-		}
-	}
-}
-
 // TestAdaptiveFillIdenticalResults verifies the adaptive policy never
-// changes the computed schedule, only which fill engine ran.
+// changes the computed schedule, only which fill engine ran: AutoFill and
+// the paper's Algorithm 3 (Workers > 1 without AutoFill) must both return
+// the Workers=1 schedule job for job, on tables below and above dp's
+// sequential cutover.
 func TestAdaptiveFillIdenticalResults(t *testing.T) {
 	for _, spec := range []workload.Spec{
-		{Family: workload.U1_100, M: 8, N: 50, Seed: 3},  // small tables: falls back
-		{Family: workload.Um_2m1, M: 20, N: 41, Seed: 3}, // large tables: stays parallel
+		{Family: workload.U1_100, M: 8, N: 50, Seed: 3},  // small tables: all levels inline
+		{Family: workload.Um_2m1, M: 20, N: 41, Seed: 3}, // large tables: levels dispatched
 	} {
 		in := workload.MustGenerate(spec)
-		ref, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4})
+		ref, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4, AdaptiveFill: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range ref.Assignment {
-			if ref.Assignment[j] != got.Assignment[j] {
-				t.Fatalf("%v: job %d differs under adaptive fill", spec.Family, j)
+		for _, route := range []struct {
+			name string
+			opts Options
+		}{
+			{"AutoFill", Options{Epsilon: 0.3, Workers: 4, AutoFill: true}},
+			{"Algorithm 3", Options{Epsilon: 0.3, Workers: 4}},
+		} {
+			got, _, err := Solve(context.Background(), in, route.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range ref.Assignment {
+				if ref.Assignment[j] != got.Assignment[j] {
+					t.Fatalf("%v: job %d differs under %s", spec.Family, j, route.name)
+				}
 			}
 		}
 	}

@@ -35,12 +35,6 @@ import (
 //     construction simply wins: the search settles on it immediately, and
 //     its T is below OPT, preserving the (1+eps) guarantee.
 
-// adaptiveFillThreshold is the sigma*|C| work level below which the
-// sequential fill beats the level-synchronous parallel fill (the per-level
-// barrier costs more than the level's work; see EXPERIMENTS.md fig2/fig3
-// analysis and BenchmarkPoolRound).
-const adaptiveFillThreshold = 1 << 17
-
 // attemptResult carries one probe's outcome.
 type attemptResult struct {
 	sp       *split
@@ -78,25 +72,16 @@ func runAttempt(ctx context.Context, in *pcmax.Instance, k int, T pcmax.Time, op
 		return attemptResult{}, err
 	}
 	tbl.PerEntryEnum = opts.PerEntryConfigs
-	useParallel := pool != nil
-	if useParallel && opts.AdaptiveFill && tbl.Sigma*int64(len(tbl.Configs)) < adaptiveFillThreshold {
-		useParallel = false
-	}
 	t0 := time.Now()
 	switch {
 	case bpool != nil:
 		err = tbl.FillAutoCtx(ctx, bpool)
-	case useParallel && opts.Dataflow:
-		err = tbl.FillDataflowCtx(ctx, pool.Workers())
-	case useParallel:
+	case pool != nil:
 		err = tbl.FillParallelCtx(ctx, pool, opts.LevelMode, opts.Strategy)
+	case opts.SeqFill == SeqRecursive:
+		err = tbl.FillRecursiveCtx(ctx)
 	default:
-		switch opts.SeqFill {
-		case SeqRecursive:
-			err = tbl.FillRecursiveCtx(ctx)
-		default:
-			err = tbl.FillSequentialCtx(ctx)
-		}
+		err = tbl.FillSequentialCtx(ctx)
 	}
 	fill := time.Since(t0)
 	if err != nil {

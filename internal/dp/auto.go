@@ -39,8 +39,8 @@ import (
 // tests can force every arm on any host.
 var (
 	// autoSeqWork is the sigma*|configs| product below which the whole table
-	// runs the sequential config-outer sweep (mirrors the solve engine's
-	// adaptive-fill threshold; see EXPERIMENTS.md barrier-bound analysis).
+	// runs the sequential config-outer sweep (see EXPERIMENTS.md
+	// barrier-bound analysis).
 	autoSeqWork int64 = 1 << 17
 	// autoInlineGrain is the level width below which a level runs inline on
 	// the caller rather than joining a fused batch.
@@ -89,13 +89,13 @@ func (t *Table) FillAuto(bp *par.BarrierPool) { _ = t.FillAutoCtx(context.Backgr
 // whole-table and per-level routing described in the package comment above,
 // recording the routing in t.AutoStats. A nil bp (or a pool with no
 // effective parallelism on this hardware, or a table below the sequential
-// work cutover, or the LegacyFill/PerEntryEnum ablation switches) degrades
-// to FillSequentialCtx with every level counted inline. Cancellation
-// mirrors the other fills: ctx is polled between levels and, inside
-// dispatched rounds, every cancelCheckEvery entries per worker; on
-// cancellation the table is left unfilled and the structured cancel error
-// is returned. The resulting table is bit-identical to every other fill
-// variant.
+// work cutover, or the PerEntryEnum ablation switch) degrades to
+// FillSequentialCtx with every level counted inline. Cancellation mirrors
+// the other fills: ctx is polled while the level index is built, between
+// levels and, inside dispatched rounds, every cancelCheckEvery entries per
+// worker; on cancellation the table is left unfilled and the structured
+// cancel error is returned. The resulting table is bit-identical to every
+// other fill variant.
 func (t *Table) FillAutoCtx(ctx context.Context, bp *par.BarrierPool) error {
 	t.AutoStats = AutoStats{}
 	if err := cancel.Check(ctx); err != nil {
@@ -112,7 +112,7 @@ func (t *Table) FillAutoCtx(ctx context.Context, bp *par.BarrierPool) error {
 	// small-table cutover must cost bare nanoseconds over
 	// FillSequentialCtx, or the routing itself would erode the very
 	// regime it picks.
-	if bp == nil || t.LegacyFill || t.PerEntryEnum ||
+	if bp == nil || t.PerEntryEnum ||
 		t.Sigma*int64(len(t.Configs)) < autoSeqWork {
 		if err := t.FillSequentialCtx(ctx); err != nil {
 			return err
@@ -137,15 +137,8 @@ func (t *Table) FillAutoCtx(ctx context.Context, bp *par.BarrierPool) error {
 	}
 
 	pfor := func(n int, body func(i int)) { bp.For(n, body) }
-	var li *levelIndex
-	if t.cache != nil {
-		li = t.cache.levelIndexFor(t.Counts, func() *levelIndex {
-			return t.buildLevelIndex(pfor, bp.Workers())
-		})
-	} else {
-		li = t.buildLevelIndex(pfor, bp.Workers())
-	}
-	if err := cancel.Check(ctx); err != nil {
+	li, err := t.levelIndex(ctx, pfor, bp.Workers())
+	if err != nil {
 		return err
 	}
 	decs := newDecoders(t, bp.Workers())

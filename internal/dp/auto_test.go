@@ -209,3 +209,33 @@ func TestFillAutoReusesCachedLevelIndex(t *testing.T) {
 		t.Fatalf("FillAuto never hit the level-index cache: %+v", st)
 	}
 }
+
+// TestCanceledLevelIndexBuildIsNotCached cancels a fill while it builds the
+// level index: the fill must return the cancel error without caching the
+// partial index, so the next fill rebuilds it and fills bit-identically.
+func TestCanceledLevelIndexBuildIsNotCached(t *testing.T) {
+	ref := bigTable(t)
+	ref.FillSequential()
+
+	restore := AutoTuneForTest(8, 1, 8, 64)
+	defer restore()
+	bp := par.NewBarrierPool(4)
+	defer bp.Close()
+
+	cache := NewCache()
+	sizes, counts, T := bigTableSpec()
+	tbl, err := NewCached(sizes, counts, T, 0, 0, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.FillAutoCtx(newTrippingCtx(), bp); !errors.Is(err, cancel.ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+	if err := tbl.FillAutoCtx(context.Background(), bp); err != nil {
+		t.Fatalf("recovery fill: %v", err)
+	}
+	optEqual(t, "recovered FillAuto", tbl.Opt, ref.Opt)
+	if st := cache.Stats(); st.LevelHits != 0 || st.LevelMisses != 2 {
+		t.Fatalf("canceled build reached the cache: %+v", st)
+	}
+}

@@ -248,20 +248,23 @@ func buildConfigSet(sizes []pcmax.Time, counts []int, T pcmax.Time, stride []int
 // levelIndexFor returns the level-bucket index for the given counts vector,
 // building it with build on a miss. Two goroutines missing concurrently may
 // both build; the last store wins — the artifact is deterministic, so either
-// copy is correct.
-func (c *Cache) levelIndexFor(counts []int, build func() *levelIndex) *levelIndex {
+// copy is correct. A failed (canceled) build is returned and not stored.
+func (c *Cache) levelIndexFor(counts []int, build func() (*levelIndex, error)) (*levelIndex, error) {
 	c.mu.Lock()
 	c.keyBuf = appendCountsKey(c.keyBuf[:0], counts)
 	if li, ok := c.levels[string(c.keyBuf)]; ok {
 		c.stats.LevelHits++
 		c.mu.Unlock()
-		return li
+		return li, nil
 	}
 	c.stats.LevelMisses++
 	key := string(c.keyBuf)
 	c.mu.Unlock()
 
-	li := build()
+	li, err := build()
+	if err != nil {
+		return nil, err
+	}
 	elems := int64(len(li.order))
 	c.mu.Lock()
 	if c.levelElems+elems > maxCachedLevelElems {
@@ -273,5 +276,5 @@ func (c *Cache) levelIndexFor(counts []int, build func() *levelIndex) *levelInde
 		c.levelElems += elems
 	}
 	c.mu.Unlock()
-	return li
+	return li, nil
 }

@@ -55,8 +55,8 @@ func TestFillVariantsCancelAndRecover(t *testing.T) {
 		fill func(tbl *Table, ctx context.Context) error
 	}{
 		{"sequential", func(tbl *Table, ctx context.Context) error { return tbl.FillSequentialCtx(ctx) }},
-		{"sequential-legacy", func(tbl *Table, ctx context.Context) error {
-			tbl.LegacyFill = true
+		{"sequential-per-entry", func(tbl *Table, ctx context.Context) error {
+			tbl.PerEntryEnum = true
 			return tbl.FillSequentialCtx(ctx)
 		}},
 		{"recursive", func(tbl *Table, ctx context.Context) error { return tbl.FillRecursiveCtx(ctx) }},
@@ -66,7 +66,6 @@ func TestFillVariantsCancelAndRecover(t *testing.T) {
 		{"parallel-scan", func(tbl *Table, ctx context.Context) error {
 			return tbl.FillParallelCtx(ctx, pool, LevelScan, par.RoundRobin)
 		}},
-		{"dataflow", func(tbl *Table, ctx context.Context) error { return tbl.FillDataflowCtx(ctx, 3) }},
 	}
 
 	for _, v := range variants {

@@ -2,10 +2,10 @@ package dp
 
 // Differential coverage for the optimized fill pipeline: every fill variant
 // (sequential, recursive, parallel in both level modes under all three
-// scheduling strategies, dataflow; shared configs and per-entry enumeration;
-// legacy and optimized scan paths; cached and uncached builds) must produce
-// the same Opt table and the same reconstruction as a seed-faithful oracle
-// on a population of random instances.
+// scheduling strategies, adaptive; shared configs and per-entry enumeration;
+// cached and uncached builds) must produce the same Opt table and the same
+// reconstruction as a seed-faithful oracle on a population of random
+// instances.
 
 import (
 	"fmt"
@@ -118,11 +118,12 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 			machinesEqual(t, fmt.Sprintf("seed %d: %s", seed, label), machines, refMachines)
 		}
 
-		// Legacy scan path (the ablation baseline) must agree entry for entry.
-		leg := mk()
-		leg.LegacyFill = true
-		leg.FillSequential()
-		check("legacy FillSequential", leg)
+		// Per-entry enumeration keeps the entry-ordered sweep instead of the
+		// config-outer one; it must agree entry for entry.
+		pes := mk()
+		pes.PerEntryEnum = true
+		pes.FillSequential()
+		check("FillSequential/per-entry", pes)
 
 		// Recursive fill leaves unreachable entries unset; compare the
 		// computed subset plus the reconstruction.
@@ -140,7 +141,7 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 		machinesEqual(t, fmt.Sprintf("seed %d: FillRecursive", seed), recMachines, refMachines)
 
 		// Parallel fills: both level modes x all three strategies, shared
-		// and per-entry enumeration, plus the legacy path per mode.
+		// and per-entry enumeration.
 		for _, mode := range []LevelMode{LevelBuckets, LevelScan} {
 			for _, strategy := range par.Strategies {
 				p := mk()
@@ -152,16 +153,7 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 				pe.FillParallel(pool, mode, strategy)
 				check(fmt.Sprintf("FillParallel/%v/%v/per-entry", mode, strategy), pe)
 			}
-			pl := mk()
-			pl.LegacyFill = true
-			pl.FillParallel(pool, mode, par.RoundRobin)
-			check(fmt.Sprintf("FillParallel/%v/legacy", mode), pl)
 		}
-
-		// Dataflow fill.
-		df := mk()
-		df.FillDataflow(4)
-		check("FillDataflow", df)
 
 		// Adaptive fill, default calibration: on small tables (or clamped
 		// hardware) this is the sequential-cutover arm of FillAuto.
@@ -239,11 +231,6 @@ func TestDifferentialPackedBoundaries(t *testing.T) {
 			oracle := fillOracle(ref)
 			ref.FillSequential()
 			optEqual(t, "FillSequential vs oracle", ref.Opt, oracle)
-
-			leg := mk()
-			leg.LegacyFill = true
-			leg.FillSequential()
-			optEqual(t, "legacy FillSequential", leg.Opt, oracle)
 
 			p := mk()
 			p.FillParallel(pool, LevelBuckets, par.Dynamic)

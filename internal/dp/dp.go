@@ -13,10 +13,11 @@
 // one-dimensional array V), so idx(v) = sum_i v_i * stride_i and, for a
 // configuration s <= v, idx(v-s) = idx(v) - offset(s) with no borrows.
 //
-// Three fill strategies are provided:
+// Four fills are provided, all producing bit-identical tables:
 //
 //   - FillSequential: bottom-up in index order (every dependency of entry i
-//     has a smaller index, so a single left-to-right sweep is valid).
+//     has a smaller index, so a single left-to-right sweep is valid), run as
+//     the configuration-outer relaxation sweep.
 //   - FillRecursive: top-down memoized recursion starting from the last
 //     entry, faithful to the paper's Algorithm 2 description ("starts from
 //     the last entry of the DP-table and recursively computes the other
@@ -25,6 +26,14 @@
 //     anti-diagonal (equal digit sum, the paper's d_i values) are mutually
 //     independent; levels l = 0..n' run sequentially with a barrier, entries
 //     within a level run on P workers.
+//   - FillAuto: Algorithm 3's level order on a barrier pool, with small
+//     tables cut over to FillSequential, narrow levels run inline and runs
+//     of mid-width levels fused into one dispatch (auto.go).
+//
+// The solve driver (internal/core) uses FillSequential at one worker and
+// FillAuto at more; FillRecursive and FillParallel are the paper's
+// Algorithms 2 and 3, kept for the figure and ablation experiments and as
+// differential references.
 //
 // The fill pipeline applies three compounding optimizations over a naive
 // translation of the recurrence (all preserving bit-identical Opt tables;
@@ -42,9 +51,6 @@
 //     mixed-radix counters — the sequential sweep and the level/bucket index
 //     construction advance digit vectors in amortized O(1), and the parallel
 //     fill decodes once per worker chunk and advances from there.
-//
-// The LegacyFill switch restores the unpruned, division-decoded fill for
-// ablation benchmarks (the "seed path" in BENCH_dp.json).
 package dp
 
 import (
@@ -151,13 +157,6 @@ type Table struct {
 	// machine configurations of vector v^i") and considerably slower; it
 	// exists for fidelity runs and ablation benchmarks.
 	PerEntryEnum bool
-
-	// LegacyFill restores the pre-optimization fill path — full
-	// configuration scans (no level pruning, per-Config heap slices) and
-	// division-based digit decoding — for ablation benchmarks against the
-	// seed implementation. Opt tables and reconstructions are identical
-	// either way.
-	LegacyFill bool
 
 	// AutoStats reports how FillAuto routed the anti-diagonal levels; it is
 	// meaningful only after a FillAuto/FillAutoCtx call (other fill variants
@@ -330,18 +329,6 @@ func (t *Table) digits(idx int64, dst []int32) []int32 {
 	return dst
 }
 
-// levelOf returns the digit sum (anti-diagonal index) of an entry by
-// division; the optimized paths use odometer advancement instead.
-func (t *Table) levelOf(idx int64) int32 {
-	var s int32
-	rem := idx
-	for i := range t.Stride {
-		s += int32(rem / t.Stride[i])
-		rem %= t.Stride[i]
-	}
-	return s
-}
-
 // sumDigits returns the digit sum (anti-diagonal level) of a decoded vector.
 func sumDigits(v []int32) int32 {
 	var s int32
@@ -403,8 +390,7 @@ func (t *Table) advanceOne(v []int32) int32 {
 
 // decoder incrementally decodes ascending entry indices for one worker: the
 // first index (and any backward jump) pays a full division decode, every
-// later index is reached by mixed-radix advancement. With LegacyFill it
-// degrades to a division decode per entry, reproducing the seed path.
+// later index is reached by mixed-radix advancement.
 type decoder struct {
 	t    *Table
 	v    []int32
@@ -429,7 +415,7 @@ func (dc *decoder) reset() { dc.last = -1 }
 func (dc *decoder) at(idx int64) []int32 {
 	t := dc.t
 	switch {
-	case t.LegacyFill || dc.last < 0 || idx < dc.last:
+	case dc.last < 0 || idx < dc.last:
 		t.digits(idx, dc.v)
 	case idx > dc.last:
 		t.advance(dc.v, idx-dc.last)
@@ -443,7 +429,7 @@ func (dc *decoder) at(idx int64) []int32 {
 // must be final.
 //
 //lint:hotpath the DP recurrence kernel, millions of calls per probe
-//lint:hbimpl wavefront ordering: every dependency read Opt[idx-Offset] targets a strictly smaller digit sum, and the fill loops separate levels with a full dispatch (or in-degree) barrier, so each read is ordered after its write by the level boundary
+//lint:hbimpl wavefront ordering: every dependency read Opt[idx-Offset] targets a strictly smaller digit sum, and the fill loops separate levels with a full dispatch barrier, so each read is ordered after its write by the level boundary
 func (t *Table) computeEntry(idx int64, v []int32, level int32) {
 	if t.PerEntryEnum {
 		t.computeEntryPerEnum(idx, v)
@@ -453,21 +439,6 @@ func (t *Table) computeEntry(idx int64, v []int32, level int32) {
 	opt := t.Opt
 	if idx < 0 || idx >= int64(len(opt)) {
 		return // never taken: the fill loops keep idx inside [0, Sigma)
-	}
-	if t.LegacyFill {
-		cfgs := t.Configs
-		for ci := range cfgs {
-			c := &cfgs[ci]
-			if conf.Fits(c.Counts, v) {
-				if o := idx - c.Offset; o >= 0 && o < int64(len(opt)) {
-					if e := opt[o]; e < best {
-						best = e
-					}
-				}
-			}
-		}
-		opt[idx] = best + 1
-		return
 	}
 	if t.packed != nil {
 		t.computeEntryPacked(idx, v, level)
@@ -643,14 +614,14 @@ func (t *Table) FillSequential() { _ = t.FillSequentialCtx(context.Background())
 
 // FillSequentialCtx computes every entry bottom-up, checking ctx every
 // fillCheckEvery entries. The default path runs the configuration-outer
-// relaxation sweep (fillConfigOuter); LegacyFill and PerEntryEnum keep the
-// entry-ordered recurrence sweep, where the digit vector and its level ride
-// an odometer increment so no entry pays a division decode. On cancellation
-// the table is left unfilled (Opt holds partial garbage) and the structured
-// cancel error is returned; an uncanceled fill returns nil and produces a
-// table bit-identical to every other fill variant.
+// relaxation sweep (fillConfigOuter); PerEntryEnum keeps the entry-ordered
+// recurrence sweep, where the digit vector and its level ride an odometer
+// increment so no entry pays a division decode. On cancellation the table
+// is left unfilled (Opt holds partial garbage) and the structured cancel
+// error is returned; an uncanceled fill returns nil and produces a table
+// bit-identical to every other fill variant.
 func (t *Table) FillSequentialCtx(ctx context.Context) error {
-	if !t.LegacyFill && !t.PerEntryEnum {
+	if !t.PerEntryEnum {
 		return t.fillConfigOuter(ctx)
 	}
 	done := ctxDone(ctx)
@@ -843,8 +814,7 @@ func (t *Table) solveRec(idx int64) int32 {
 	t.recEntries++
 	v := t.digits(idx, make([]int32, len(t.Stride)))
 	best := int32(math.MaxInt32)
-	switch {
-	case t.PerEntryEnum:
+	if t.PerEntryEnum {
 		d := len(t.Sizes)
 		var rec func(dim int, weight pcmax.Time, off int64, jobs int32)
 		rec = func(dim int, weight pcmax.Time, off int64, jobs int32) {
@@ -865,16 +835,7 @@ func (t *Table) solveRec(idx int64) int32 {
 			}
 		}
 		rec(0, 0, 0, 0)
-	case t.LegacyFill:
-		for ci := range t.Configs {
-			c := &t.Configs[ci]
-			if conf.Fits(c.Counts, v) {
-				if o := t.solveRec(idx - c.Offset); o < best {
-					best = o
-				}
-			}
-		}
-	default:
+	} else {
 		s := t.set
 		bound := int(s.Bounds.Upto(sumDigits(v)))
 		for ci := 0; ci < bound; ci++ {
@@ -891,16 +852,12 @@ func (t *Table) solveRec(idx int64) int32 {
 
 // fillLevels writes the digit sum of every entry into levels, using the
 // given parallel-for (a pool or barrier-pool dispatch, or an inline loop)
-// over workers workers. The optimized path splits the table into contiguous
-// chunks, pays one division decode per chunk and advances an odometer inside
-// it; LegacyFill reproduces the seed's division decode per entry.
-func (t *Table) fillLevels(pfor func(n int, body func(i int)), workers int, levels []int32) {
-	if t.LegacyFill {
-		pfor(int(t.Sigma), func(i int) {
-			levels[i] = t.levelOf(int64(i))
-		})
-		return
-	}
+// over workers workers. It splits the table into contiguous chunks, pays one
+// division decode per chunk and advances an odometer inside it. Chunks that
+// start after ctx died are skipped and the structured cancel error is
+// returned, leaving levels partial.
+func (t *Table) fillLevels(ctx context.Context, pfor func(n int, body func(i int)), workers int, levels []int32) error {
+	done := ctxDone(ctx)
 	chunkLen := t.Sigma / int64(8*workers)
 	if chunkLen < 1024 {
 		chunkLen = 1024
@@ -908,6 +865,13 @@ func (t *Table) fillLevels(pfor func(n int, body func(i int)), workers int, leve
 	nChunks := int((t.Sigma + chunkLen - 1) / chunkLen)
 	d := len(t.Stride)
 	pfor(nChunks, func(c int) {
+		if done != nil {
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
 		lo := int64(c) * chunkLen
 		hi := lo + chunkLen
 		if hi > t.Sigma {
@@ -921,6 +885,7 @@ func (t *Table) fillLevels(pfor func(n int, body func(i int)), workers int, leve
 			lvl += t.advanceOne(v)
 		}
 	})
+	return cancel.Check(ctx)
 }
 
 // levelIndex groups entry indices by anti-diagonal level: order holds the
@@ -934,12 +899,22 @@ type levelIndex struct {
 }
 
 // buildLevelIndex counting-sorts the entries by level; pfor and workers
-// parallelize the level computation (see fillLevels).
-func (t *Table) buildLevelIndex(pfor func(n int, body func(i int)), workers int) *levelIndex {
+// parallelize the level computation (see fillLevels). Like the fills it polls
+// ctx every fillCheckEvery entries, so a cancellation during the build of a
+// large index returns the structured cancel error instead of waiting it out.
+func (t *Table) buildLevelIndex(ctx context.Context, pfor func(n int, body func(i int)), workers int) (*levelIndex, error) {
 	levels := make([]int32, t.Sigma)
-	t.fillLevels(pfor, workers, levels)
+	if err := t.fillLevels(ctx, pfor, workers, levels); err != nil {
+		return nil, err
+	}
+	done := ctxDone(ctx)
 	count := make([]int64, t.NPrime+2)
-	for _, l := range levels {
+	for i, l := range levels {
+		if done != nil && i&(fillCheckEvery-1) == 0 {
+			if err := cancel.Check(ctx); err != nil {
+				return nil, err
+			}
+		}
 		count[l+1]++
 	}
 	for l := 1; l < len(count); l++ {
@@ -950,11 +925,26 @@ func (t *Table) buildLevelIndex(pfor func(n int, body func(i int)), workers int)
 	cursor := make([]int64, t.NPrime+1)
 	copy(cursor, start[:t.NPrime+1])
 	for i := int64(0); i < t.Sigma; i++ {
+		if done != nil && i&(fillCheckEvery-1) == 0 {
+			if err := cancel.Check(ctx); err != nil {
+				return nil, err
+			}
+		}
 		l := levels[i]
 		order[cursor[l]] = i
 		cursor[l]++
 	}
-	return &levelIndex{order: order, start: start}
+	return &levelIndex{order: order, start: start}, nil
+}
+
+// levelIndex returns the table's level index, from the cache when one is
+// attached (see buildLevelIndex for the arguments).
+func (t *Table) levelIndex(ctx context.Context, pfor func(n int, body func(i int)), workers int) (*levelIndex, error) {
+	build := func() (*levelIndex, error) { return t.buildLevelIndex(ctx, pfor, workers) }
+	if t.cache == nil {
+		return build()
+	}
+	return t.cache.levelIndexFor(t.Counts, build)
 }
 
 // FillParallel computes the table with the paper's Parallel DP (Algorithm 3)
@@ -992,7 +982,9 @@ func (t *Table) FillParallelCtx(ctx context.Context, pool *par.Pool, mode LevelM
 		// Lines 4-8: compute the digit sums d_i of every entry in parallel,
 		// then (Lines 10-25, faithful) every level scans all sigma entries.
 		levels := make([]int32, t.Sigma)
-		t.fillLevels(pfor, pool.Workers(), levels)
+		if err := t.fillLevels(ctx, pfor, pool.Workers(), levels); err != nil {
+			return err
+		}
 		for l := int32(1); l <= int32(t.NPrime); l++ {
 			for w := range decs {
 				decs[w].reset()
@@ -1015,13 +1007,9 @@ func (t *Table) FillParallelCtx(ctx context.Context, pool *par.Pool, mode LevelM
 		if err := cancel.Check(ctx); err != nil {
 			return err
 		}
-		var li *levelIndex
-		if t.cache != nil && !t.LegacyFill {
-			li = t.cache.levelIndexFor(t.Counts, func() *levelIndex {
-				return t.buildLevelIndex(pfor, pool.Workers())
-			})
-		} else {
-			li = t.buildLevelIndex(pfor, pool.Workers())
+		li, err := t.levelIndex(ctx, pfor, pool.Workers())
+		if err != nil {
+			return err
 		}
 		for l := 1; l <= t.NPrime; l++ {
 			bucket := li.order[li.start[l]:li.start[l+1]]

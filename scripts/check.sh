@@ -2,11 +2,12 @@
 # Repo-wide verification: formatting, build, vet (the binaries get an
 # explicit pass so a library-only vet invocation can never silently skip
 # them), the schedlint invariant gate, the full test suite with shuffled
-# test order, then the race detector over the packages with real
-# concurrency (worker pool, parallel DP fills, exact solver, core driver,
-# solver facade). Every `go test` carries a -timeout guard so a hung test
-# fails the pipeline instead of wedging it. This is the gate every PR runs
-# before merging; ROADMAP.md points here.
+# test order, the benchmark module's vet and self-check, then the race
+# detector over the packages with real concurrency (worker pool, parallel
+# DP fills, exact solver, core driver, solver facade). Every `go test`
+# carries a -timeout guard so a hung test fails the pipeline instead of
+# wedging it. This is the gate every PR runs before merging; ROADMAP.md
+# points here.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -46,6 +47,12 @@ go run ./cmd/schedlint -only sharedwrite,cancelpoll ./...
 go run ./cmd/schedlint -suppressions ./...
 
 go test -shuffle=on -timeout 10m ./...
+
+# The benchmark is its own module (perfbench/go.mod replaces repro with this
+# tree), so neither `go build ./...` nor `go test ./...` above compiles it.
+# Vet and self-check it here: a change to the root API that the benchmark
+# uses fails this step instead of failing only when the benchmark runs.
+(cd perfbench && go vet ./... && go test -timeout 5m ./...)
 
 # Fuzz smoke over both instance parsers: five seconds of random streams each
 # against the accept->validate->round-trip invariants of pcmax.FuzzReadText

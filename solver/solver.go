@@ -114,9 +114,13 @@ type PTASOptions struct {
 	// rule to the original Hochbaum–Shmoys LS rule.
 	ShortJobsLS bool
 	// PaperFaithful selects the presentation-faithful variants: the
-	// recursive memoized sequential DP (paper Algorithm 2) and per-level
-	// full table scans in the parallel DP (paper Algorithm 3). The default
-	// uses the optimized equivalents (bottom-up sweep, level buckets).
+	// recursive memoized sequential DP (paper Algorithm 2) at Workers == 1
+	// and, at Workers > 1, the level-synchronous parallel DP (paper
+	// Algorithm 3) with per-level full table scans and per-entry
+	// configuration enumeration on every level of every table — it never
+	// cuts over to a sequential fill, whatever AdaptiveFill says. The
+	// default uses the optimized equivalents (bottom-up sweep, adaptive
+	// parallel fill).
 	PaperFaithful bool
 	// MaxTableEntries caps the DP table size; <= 0 uses the library default
 	// (1<<25 entries). The PTAS fails with a descriptive error when an
@@ -131,13 +135,14 @@ type PTASOptions struct {
 	// beyond the paper; it preserves the (1+eps) guarantee. When set,
 	// Workers is ignored for the fill.
 	SpeculativeProbes int
-	// AdaptiveFill routes parallel fills through the adaptive path: tables
-	// too small to amortize any coordination run sequentially even with
-	// Workers > 1, and larger tables run dp.FillAutoCtx on a persistent
-	// barrier pool — narrow levels inline on the caller, runs of mid-width
-	// levels fused into one dispatch, only wide levels fanned out.
-	// PTASStats.Auto reports the routing. DefaultPTASOptions enables it;
-	// disable (or set PaperFaithful) for paper-faithful per-level timing.
+	// AdaptiveFill routes fills with Workers > 1 through the adaptive path,
+	// dp.FillAutoCtx on a barrier pool: tables too small to amortize any
+	// coordination run the sequential sweep, narrow levels run inline on
+	// the caller, runs of mid-width levels fuse into one dispatch, and only
+	// wide levels fan out. PTASStats.Auto reports the routing. Without it
+	// (or with PaperFaithful, which overrides it) Workers > 1 runs the
+	// paper's level-synchronous Algorithm 3 on every table.
+	// DefaultPTASOptions enables it; it has no effect at Workers == 1.
 	AdaptiveFill bool
 	// TimeLimit aborts the solve when exceeded.
 	//
@@ -255,7 +260,6 @@ func coreOptions(opts PTASOptions) core.Options {
 		MaxConfigs:        opts.MaxConfigs,
 		Strategy:          par.RoundRobin,
 		SpeculativeProbes: opts.SpeculativeProbes,
-		AdaptiveFill:      opts.AdaptiveFill,
 		AutoFill:          opts.AdaptiveFill && !opts.PaperFaithful,
 		TimeLimit:         opts.TimeLimit,
 		LPTFallback:       !opts.NoLPTFallback,

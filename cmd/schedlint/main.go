@@ -1,16 +1,16 @@
-// Command schedlint runs the repository's static-analysis suite: sixteen
+// Command schedlint runs the repository's static-analysis suite: thirteen
 // analyzers (see internal/lint and ALGORITHM.md §9/§11/§14/§16) that
 // machine-check the concurrency, determinism and value-flow invariants the
 // scheduler depends on — deterministic RNG only through internal/rng,
-// context threaded through every blocking solver entry point, no unjoined
-// goroutines, no map iteration order leaking into results, no undocumented
-// library panics, no by-value copies of the parallel substrate's
-// lock-bearing types, no mixing of atomic and plain access to one word, a
-// consistent mutex acquisition order, no unterminatable goroutines
-// reachable from exported functions, WaitGroup accounting balanced on every
-// path, non-escaping allocation in //lint:hotpath kernels (escape, with
-// hotalloc covering append and interface boxing), provably in-bounds
-// indexing in those kernels (boundsproof), provably overflow-free
+// context threaded through every blocking solver entry point, goroutines
+// that are joined, can terminate when reachable from exported functions
+// and keep their WaitGroup accounting balanced on every path
+// (golifecycle), no map iteration order leaking into results, no
+// undocumented library panics, no by-value copies of the parallel
+// substrate's lock-bearing types, no mixing of atomic and plain access to
+// one word, a consistent mutex acquisition order, no escaping allocation,
+// append or interface boxing in //lint:hotpath kernels (escape), provably
+// in-bounds indexing in those kernels (boundsproof), provably overflow-free
 // arithmetic reachable from the //lint:parseroot readers (intoverflow),
 // every write reachable from a parallel region proven race-free under the
 // may-happen-in-parallel model (sharedwrite, with //lint:hbimpl excusing
@@ -21,7 +21,7 @@
 // Usage:
 //
 //	schedlint [-json] [-out file] [-only check,...] [-parallel N] [-v]
-//	          [-suppressions] [-mhp-dump file] [-time-budget d] [packages]
+//	          [-mhp-dump file] [-time-budget d] [packages]
 //
 // schedlint always analyzes the whole module containing the working
 // directory; package arguments (./...) are accepted for command-line
@@ -34,10 +34,10 @@
 //
 //	//lint:ignore <check> <reason>
 //
-// The reason is mandatory; malformed directives are themselves findings.
-// -suppressions audits the directives instead of reporting findings: every
-// //lint:ignore that no longer suppresses anything is stale, printed, and
-// makes the exit status 1 (scripts/check.sh gates on zero stale).
+// The reason is mandatory; malformed directives are themselves findings,
+// and so is a stale one — a //lint:ignore that no longer suppresses
+// anything — reported under the lintdirective check like the malformed
+// kind, so one run is the whole gate.
 // -mhp-dump writes the may-happen-in-parallel engine's region/access
 // classification to a JSON file — the auditable artifact behind
 // sharedwrite's verdicts. -time-budget fails the run (exit 3) if any single
@@ -63,14 +63,13 @@ func main() {
 
 // config is one schedlint invocation's parsed flags.
 type config struct {
-	jsonOut      bool
-	outFile      string
-	only         string
-	parallel     int
-	verbose      bool
-	suppressions bool
-	mhpDump      string
-	timeBudget   time.Duration
+	jsonOut    bool
+	outFile    string
+	only       string
+	parallel   int
+	verbose    bool
+	mhpDump    string
+	timeBudget time.Duration
 }
 
 // run is the testable entry point: parses flags, runs the suite, writes the
@@ -84,12 +83,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&cfg.only, "only", "", "report only findings of these comma-separated checks (others still run; the suite is module-wide)")
 	fs.IntVar(&cfg.parallel, "parallel", 0, "analysis worker goroutines (0 = GOMAXPROCS)")
 	fs.BoolVar(&cfg.verbose, "v", false, "print load and per-analyzer wall time to stderr")
-	fs.BoolVar(&cfg.suppressions, "suppressions", false, "audit //lint:ignore directives: print stale ones (suppressing nothing) and exit 1 if any")
 	fs.StringVar(&cfg.mhpDump, "mhp-dump", "", "write the may-happen-in-parallel region/access classification to this JSON file")
 	fs.DurationVar(&cfg.timeBudget, "time-budget", 0, "fail (exit 3) if any single analyzer exceeds this wall-time budget")
 	listChecks := fs.Bool("checks", false, "list the analyzers and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: schedlint [-json] [-out file] [-only check,...] [-parallel N] [-v] [-suppressions] [-mhp-dump file] [-time-budget d] [packages]\n")
+		fmt.Fprintf(stderr, "usage: schedlint [-json] [-out file] [-only check,...] [-parallel N] [-v] [-mhp-dump file] [-time-budget d] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -162,21 +160,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 3
 		}
 	}
-	if cfg.suppressions {
-		stale := 0
-		for _, s := range sups {
-			if s.Used {
-				continue
-			}
-			stale++
-			fmt.Fprintf(stdout, "%s:%d:%d: stale suppression: //lint:ignore %s %s suppresses nothing; delete it\n",
-				s.File, s.Line, s.Col, s.Check, s.Reason)
+	// The stale-suppression audit is part of every run: the module-wide
+	// suite always runs in full, so a directive that excused nothing in it is
+	// dead weight.
+	for _, s := range sups {
+		if !s.Used {
+			diags = append(diags, lint.Diagnostic{
+				File: s.File, Line: s.Line, Col: s.Col, Check: lint.DirectiveCheck,
+				Message: fmt.Sprintf("stale suppression: //lint:ignore %s %s suppresses nothing; delete it", s.Check, s.Reason),
+			})
 		}
-		if stale > 0 {
-			return 1
-		}
-		return 0
 	}
+	lint.SortDiagnostics(diags)
 	if len(only) > 0 {
 		kept := diags[:0]
 		for _, d := range diags {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -154,5 +155,60 @@ func TestParallelMatchesDefault(t *testing.T) {
 	code4, out4, _ := runDemo(t, "-json", "-parallel", "4")
 	if code1 != code4 || !bytes.Equal(out1.Bytes(), out4.Bytes()) {
 		t.Errorf("-parallel changed the report (codes %d/%d)", code1, code4)
+	}
+}
+
+// TestStaleSuppressionFails: a plain run reports a stale //lint:ignore as a
+// lintdirective finding next to the module's real findings and exits 1 —
+// the audit cannot hide a finding, and a finding cannot hide the audit.
+func TestStaleSuppressionFails(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module example.com/stale\n\ngo 1.22\n",
+		"lib/lib.go": `// Package lib holds one unjoined goroutine and one stale directive.
+package lib
+
+// Detach spawns without a join.
+func Detach(f func()) {
+	go f()
+}
+
+// Sum carries a directive whose finding does not exist.
+func Sum(xs []int) int {
+	s := 0
+	//lint:ignore maporder nothing here ranges over a map
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+`,
+	}
+	for name, body := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Chdir(dir)
+	var out, errb bytes.Buffer
+	if code := run([]string{"./..."}, &out, &errb); code != 1 {
+		t.Fatalf("exit code = %d, want 1; stdout: %s stderr: %s", code, &out, &errb)
+	}
+	want := []string{
+		"lib/lib.go:6:2: golifecycle: go statement without a join",
+		"lib/lib.go:12:2: lintdirective: stale suppression: //lint:ignore maporder nothing here ranges over a map suppresses nothing; delete it",
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("got %d report lines, want %d:\n%s", len(lines), len(want), &out)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], w)
+		}
 	}
 }

@@ -6,7 +6,7 @@ package lint
 // values alike (a function whose value escapes may be called, so
 // reachability must include it). Dynamic dispatch through interfaces and
 // function-typed parameters is not resolved; the interprocedural analyzers
-// built on top (leakygo's exported-reachability, lockorder's acquisition
+// built on top (golifecycle's exported-reachability, lockorder's acquisition
 // summaries, ctxfirst's blocking method values) are deliberately
 // under-approximating linters, not verifiers.
 
@@ -131,7 +131,7 @@ func (g *CallGraph) SortedNodes() []*CallNode {
 
 // funcIndex lazily maps every declared module function to its package and
 // syntax, for analyzers that chase a types.Func across package boundaries
-// (ctxfirst's blocking method values, leakygo's goroutine bodies) without
+// (ctxfirst's blocking method values, golifecycle's goroutine bodies) without
 // paying for a full call graph.
 type funcIndex struct {
 	once sync.Once

@@ -13,13 +13,13 @@ package lint
 //
 //   - Deferred statements do not appear on the normal edges. They execute at
 //     every function exit, so they are collected in CFG.Defers and analyses
-//     account for them when interpreting the exit block (waitbalance treats
+//     account for them when interpreting the exit block (golifecycle treats
 //     a deferred wg.Done as satisfying every path; lockorder does not drop a
 //     lock at a `defer mu.Unlock()` because the mutex stays held until
 //     return).
 //   - Nested function literals are opaque: their bodies belong to a
 //     different activation and get their own CFG when an analyzer cares
-//     (waitbalance builds one per goroutine body). inspectShallow is the
+//     (golifecycle builds one per goroutine body). inspectShallow is the
 //     shared walker that prunes them.
 
 import (

@@ -45,7 +45,7 @@ func TestCFGExitReachability(t *testing.T) {
 		{"empty select", "select {\n}", false},
 		{"select with case", "var ch chan int\nselect {\ncase <-ch:\n}", true},
 		// Panic routes to Exit: the function terminates (by crashing), and
-		// waitbalance depends on the edge to keep panic paths out of the
+		// golifecycle depends on the edge to keep panic paths out of the
 		// Done intersection.
 		{"panic", "panic(\"x\")", true},
 		{"conditional panic", "var b bool\nif b {\npanic(\"x\")\n}", true},

@@ -223,19 +223,7 @@ func isWaitGroupWait(pkg *Package, call *ast.CallExpr) bool {
 // pointer to one).
 func isWaitGroupExpr(pkg *Package, e ast.Expr) bool {
 	tv, ok := pkg.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "WaitGroup" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
+	return ok && tv.Type != nil && isWaitGroupType(tv.Type)
 }
 
 // contextRootCall returns "Background" or "TODO" when the call mints a root

@@ -4,7 +4,7 @@ package lint
 // supply a join (merge at control-flow confluences) and a transfer function
 // (effect of one basic block) and get the fixpoint facts at every block
 // boundary. Both concurrency analyzers sit on it — lockorder runs a
-// may-analysis (union join) over held-mutex sets, waitbalance a
+// may-analysis (union join) over held-mutex sets, golifecycle a
 // must-analysis (intersection join) over surely-called-Done sets — and the
 // engine is deliberately generic so the next invariant check does not start
 // from scratch.

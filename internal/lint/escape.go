@@ -14,32 +14,44 @@ import (
 // stays on the stack and costs nothing per iteration. The analyzer taints
 // the SSA values that carry each site's result, follows them through
 // copies, slices and phis, and reports the site with its first escape
-// cause. Two site shapes are reported unconditionally: make of a map or
-// channel (always heap) and make with a non-constant size (never
-// stack-allocated). Sites in cold error-bail-out blocks are skipped.
+// cause. Some site shapes are reported unconditionally, whatever their
+// value flow: make of a map or channel (always heap), make with a
+// non-constant size (never stack-allocated), append (it may grow the
+// backing array even when nothing escapes) and interface boxing (it
+// allocates at the conversion itself, which is how fmt.Sprintf sneaks
+// allocations into a kernel). Sites in cold error-bail-out blocks are
+// skipped: an allocation on the `return fmt.Errorf(...)` path costs nothing
+// per hot iteration. A //lint:hotpath directive outside a function
+// declaration's doc comment is reported as stray.
 var Escape = &Analyzer{
 	Name: "escape",
-	Doc:  "allocation sites in //lint:hotpath functions must not escape",
+	Doc:  "allocation sites in //lint:hotpath functions must not escape, append or box into interfaces",
 	Run:  runEscape,
 }
 
 func runEscape(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
-		fns, _ := directiveFuncs(f, isHotpathDirective)
+		fns, attached := directiveFuncs(f, isHotpathDirective)
 		for _, fd := range fns {
 			if fd.Body == nil {
 				continue
 			}
 			checkEscapes(pass, fd)
 		}
+		reportStray(pass, f, isHotpathDirective, attached, "//lint:hotpath")
 	}
 }
 
 // escSite is one allocation site in a hot (non-cold) block.
 type escSite struct {
-	expr   ast.Expr
-	kind   string
-	always string // non-empty: reported unconditionally, with this reason
+	expr ast.Expr
+	kind string
+	// always, when non-empty, is the whole finding after "hot path <fn> ":
+	// the site is reported unconditionally, whatever its value flow.
+	always string
+	// untracked sites (append, interface boxing) allocate at the call
+	// itself; their value is not an allocation the taint follows.
+	untracked bool
 }
 
 type escapeState struct {
@@ -117,6 +129,10 @@ func (es *escapeState) collectSites() {
 	outer := es.sites[:0]
 	siteOf := map[ast.Expr]int{}
 	for _, s := range es.sites {
+		if s.untracked {
+			outer = append(outer, s)
+			continue
+		}
 		if lit, ok := s.expr.(*ast.CompositeLit); ok && es.enclosedByComposite(lit) {
 			continue
 		}
@@ -153,14 +169,18 @@ func (es *escapeState) siteAt(m ast.Node) {
 	case *ast.CallExpr:
 		id, ok := ast.Unparen(m.Fun).(*ast.Ident)
 		if !ok {
+			es.boxingSites(m)
 			return
 		}
 		if _, builtin := es.info.Uses[id].(*types.Builtin); !builtin {
+			es.boxingSites(m)
 			return
 		}
 		switch id.Name {
 		case "new":
 			es.addSite(m, "new", "")
+		case "append":
+			es.addFixed(m, "calls append, which may grow the backing array; size the slice up front")
 		case "make":
 			if len(m.Args) == 0 {
 				return
@@ -171,12 +191,12 @@ func (es *escapeState) siteAt(m ast.Node) {
 			}
 			switch tv.Type.Underlying().(type) {
 			case *types.Map:
-				es.addSite(m, "make", "a map always allocates")
+				es.addSite(m, "make", perIteration("a map always allocates"))
 			case *types.Chan:
-				es.addSite(m, "make", "a channel always allocates")
+				es.addSite(m, "make", perIteration("a channel always allocates"))
 			default:
 				if len(m.Args) >= 2 && !isConstExpr(es.info, m.Args[1]) {
-					es.addSite(m, "make", "a non-constant size defeats stack allocation")
+					es.addSite(m, "make", perIteration("a non-constant size defeats stack allocation"))
 				} else {
 					es.addSite(m, "make", "")
 				}
@@ -185,9 +205,57 @@ func (es *escapeState) siteAt(m ast.Node) {
 	}
 }
 
+// boxingSites records the interface boxings of a non-builtin call: a
+// conversion of a concrete value to an interface type, or a concrete
+// argument passed to an interface parameter.
+func (es *escapeState) boxingSites(call *ast.CallExpr) {
+	tv, ok := es.info.Types[call.Fun]
+	if !ok {
+		return
+	}
+	if tv.IsType() {
+		if types.IsInterface(tv.Type) && len(call.Args) == 1 {
+			if at, ok := es.info.Types[call.Args[0]]; ok && at.Type != nil && !types.IsInterface(at.Type) {
+				es.addFixed(call, "converts a concrete value to an interface, which boxes (allocates)")
+			}
+		}
+		return
+	}
+	sig, ok := tv.Type.Underlying().(*types.Signature)
+	if !ok {
+		return
+	}
+	for i, arg := range call.Args {
+		if sig.Variadic() && i >= sig.Params().Len()-1 && call.Ellipsis.IsValid() {
+			continue // passing a slice through, no boxing
+		}
+		if pt := paramType(sig, i); pt == nil || !types.IsInterface(pt) {
+			continue
+		}
+		at, ok := es.info.Types[arg]
+		if !ok || at.Type == nil || types.IsInterface(at.Type) {
+			continue
+		}
+		if b, ok := at.Type.(*types.Basic); ok && b.Kind() == types.UntypedNil {
+			continue
+		}
+		es.addFixed(arg, "boxes a concrete argument into an interface parameter (allocates)")
+	}
+}
+
+// perIteration renders the finding of a make that allocates whether or not
+// its value escapes.
+func perIteration(reason string) string {
+	return "allocates per iteration: make — " + reason + "; hoist it to the caller or reuse a scratch value"
+}
+
 func (es *escapeState) addSite(e ast.Expr, kind, always string) {
-	es.siteOf[e] = len(es.sites)
 	es.sites = append(es.sites, escSite{expr: e, kind: kind, always: always})
+}
+
+// addFixed records an untracked site reported unconditionally with msg.
+func (es *escapeState) addFixed(e ast.Expr, msg string) {
+	es.sites = append(es.sites, escSite{expr: e, always: msg, untracked: true})
 }
 
 func isConstExpr(info *types.Info, e ast.Expr) bool {
@@ -417,8 +485,7 @@ func (es *escapeState) report() {
 	for i, s := range es.sites {
 		switch {
 		case s.always != "":
-			es.pass.Reportf(s.expr.Pos(), "hot path %s allocates per iteration: %s — %s; hoist it to the caller or reuse a scratch value",
-				name, s.kind, s.always)
+			es.pass.Reportf(s.expr.Pos(), "hot path %s %s", name, s.always)
 		case es.cause[i] != "":
 			es.pass.Reportf(s.expr.Pos(), "hot path %s: %s escapes (%s); hoist the allocation out of the hot path",
 				name, s.kind, es.cause[i])

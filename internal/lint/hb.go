@@ -84,6 +84,9 @@ type ParRegion struct {
 	// joined, in which case the region races with the whole rest of the
 	// spawner.
 	JoinEnd token.Pos
+	// Encl is the body of the innermost function — the declaration itself
+	// or a function literal inside it — whose code contains the spawn site.
+	Encl *ast.BlockStmt
 	// loopEnd is the End of the innermost enclosing loop statement when the
 	// spawn site sits inside one (used to decide SelfParallel after joins).
 	loopEnd token.Pos
@@ -138,13 +141,15 @@ func isPoolDispatch(pkg *Package, call *ast.CallExpr) (workerParam int, ok bool)
 
 // regionsOf discovers the parallel regions spawned in one declaration. Loop
 // context is tracked so go-call arguments that vary per spawn iteration can
-// be marked instance-distinguishing.
+// be marked instance-distinguishing, and function-literal nesting so each
+// region knows its innermost enclosing function body.
 func regionsOf(mod *Module, pkg *Package, fn *types.Func, fd *ast.FuncDecl) []*ParRegion {
 	if fd.Body == nil {
 		return nil
 	}
 	var regions []*ParRegion
 	var loops []ast.Stmt // enclosing for/range statements, innermost last
+	encl := fd.Body      // innermost enclosing function body
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -155,8 +160,15 @@ func regionsOf(mod *Module, pkg *Package, fn *types.Func, fd *ast.FuncDecl) []*P
 			}
 			loops = loops[:len(loops)-1]
 			return false
+		case *ast.FuncLit:
+			outer := encl
+			encl = n.Body
+			ast.Inspect(n.Body, walk)
+			encl = outer
+			return false
 		case *ast.GoStmt:
 			if r := goRegion(mod, pkg, fn, fd, n, loops); r != nil {
+				r.Encl = encl
 				regions = append(regions, r)
 			}
 			// Descend: the spawn arguments and the body may contain nested
@@ -165,6 +177,7 @@ func regionsOf(mod *Module, pkg *Package, fn *types.Func, fd *ast.FuncDecl) []*P
 			return true
 		case *ast.CallExpr:
 			if r := dispatchRegion(pkg, fn, fd, n, loops); r != nil {
+				r.Encl = encl
 				regions = append(regions, r)
 			}
 			return true
@@ -393,10 +406,8 @@ func findJoin(pkg *Package, fd *ast.FuncDecl, r *ParRegion) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" {
-				if v, _ := addressedVar(bpkg, sel.X); v != nil && isWaitGroupType(v.Type()) {
-					dones[v] = true
-				}
+			if v, op := wgOp(bpkg, n); op == "Done" {
+				dones[v] = true
 			}
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" && len(n.Args) == 1 {
 				if v, _ := addressedVar(bpkg, n.Args[0]); v != nil {
@@ -426,10 +437,8 @@ func findJoin(pkg *Package, fd *ast.FuncDecl, r *ParRegion) {
 		}
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
-				if v, _ := addressedVar(pkg, sel.X); v != nil && dones[v] {
-					consider(n.Pos())
-				}
+			if v, op := wgOp(pkg, n); op == "Wait" && dones[v] {
+				consider(n.Pos())
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
@@ -445,6 +454,42 @@ func findJoin(pkg *Package, fd *ast.FuncDecl, r *ParRegion) {
 		return true
 	})
 	r.JoinEnd = best
+}
+
+// wgOp recognizes wg.Done()/wg.Add(..)/wg.Wait() on a declared
+// sync.WaitGroup variable or field; op is "" for anything else.
+func wgOp(pkg *Package, call *ast.CallExpr) (*types.Var, string) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil, ""
+	}
+	switch sel.Sel.Name {
+	case "Done", "Add", "Wait":
+	default:
+		return nil, ""
+	}
+	v, _ := addressedVar(pkg, sel.X)
+	if v == nil || !isWaitGroupType(v.Type()) {
+		return nil, ""
+	}
+	return v, sel.Sel.Name
+}
+
+// isWaitGroupType reports whether t is sync.WaitGroup or a pointer to one.
+func isWaitGroupType(t types.Type) bool {
+	for {
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+			continue
+		}
+		break
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
 }
 
 // hbimplPrefix marks a function as implementing a synchronization primitive

@@ -11,7 +11,20 @@ import (
 	"strings"
 )
 
-const parserootPrefix = "//lint:parseroot"
+const (
+	hotpathPrefix   = "//lint:hotpath"
+	parserootPrefix = "//lint:parseroot"
+)
+
+// isHotpathDirective matches //lint:hotpath comments (with or without a
+// trailing reason).
+func isHotpathDirective(text string) bool {
+	if !strings.HasPrefix(text, hotpathPrefix) {
+		return false
+	}
+	rest := text[len(hotpathPrefix):]
+	return rest == "" || rest[0] == ' ' || rest[0] == '\t'
+}
 
 // isParserootDirective matches //lint:parseroot comments (with or without a
 // trailing reason).

@@ -31,7 +31,7 @@ func (d Diagnostic) String() string {
 // Analyzer is one named invariant check. Exactly one of Run and RunModule
 // is set: Run analyzers see one package at a time, RunModule analyzers see
 // the whole module at once (for interprocedural checks that chase calls
-// across package boundaries, like atomicmix, lockorder and leakygo).
+// across package boundaries, like atomicmix, lockorder and golifecycle).
 type Analyzer struct {
 	// Name is the check identifier used in output and //lint:ignore
 	// directives.
@@ -301,19 +301,7 @@ func RunOnModuleFull(mod *Module, analyzers []*Analyzer, workers int) ([]Diagnos
 	}
 	directives := collectDirectives(mod, known, &diags)
 	diags, used := suppress(diags, directives)
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Check < b.Check
-	})
+	SortDiagnostics(diags)
 	sups := make([]Suppression, len(directives))
 	for i, d := range directives {
 		sups[i] = Suppression{File: d.file, Line: d.line, Col: d.col, Check: d.check, Reason: d.reason, Used: used[i]}
@@ -335,6 +323,27 @@ func RunOnModuleFull(mod *Module, analyzers []*Analyzer, workers int) ([]Diagnos
 	return diags, timings, sups
 }
 
+// SortDiagnostics orders findings by position, then check, then message, so
+// two findings of one check on one spot keep a fixed order.
+func SortDiagnostics(diags []Diagnostic) {
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		if a.Col != b.Col {
+			return a.Col < b.Col
+		}
+		if a.Check != b.Check {
+			return a.Check < b.Check
+		}
+		return a.Message < b.Message
+	})
+}
+
 // atomicInt64 is a tiny wrapper so the timing accumulation stays readable.
 type atomicInt64 struct{ v atomic.Int64 }
 
@@ -346,15 +355,12 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		NoRandGlobal,
 		CtxFirst,
-		GoHygiene,
+		GoLifecycle,
 		MapOrder,
 		NakedPanic,
 		MutexByValue,
 		AtomicMix,
 		LockOrder,
-		LeakyGo,
-		WaitBalance,
-		HotAlloc,
 		IntOverflow,
 		BoundsProof,
 		Escape,

@@ -57,8 +57,8 @@ func Fixed(xs []int64) int64 {
 //
 //lint:hotpath stored closure escapes
 func Register(x int64) {
-	fn := func() int64 { return x } // want "closure escapes"
-	callbacks = append(callbacks, fn)
+	fn := func() int64 { return x }   // want "closure escapes"
+	callbacks = append(callbacks, fn) // want "calls append"
 }
 
 // Apply only calls its closure locally; the closure value never leaves.

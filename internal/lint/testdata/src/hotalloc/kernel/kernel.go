@@ -1,15 +1,14 @@
-// Package kernel exercises the hot-path allocation contract. Composite
-// literals, make and closures are the escape analyzer's business now;
-// hotalloc keeps the two checks value flow cannot improve on — append may
-// grow its backing array regardless of escaping, and interface boxing
-// allocates at the conversion itself.
+// Package kernel exercises the escape analyzer's unconditional call sites:
+// the two checks value flow cannot improve on — append may grow its backing
+// array regardless of escaping, and interface boxing allocates at the
+// conversion itself.
 package kernel
 
 import "errors"
 
 var errBad = errors.New("bad")
 
-// Leaky is marked hot and allocates three ways hotalloc still owns.
+// Leaky is marked hot and allocates three ways no escape proof can excuse.
 //
 //lint:hotpath exercised by the fixture
 func Leaky(dst []int, n int) []int {

@@ -3,13 +3,12 @@
 // goes quiet.
 package lib
 
-// Serve's go statement is both unjoined (gohygiene) and unterminatable
-// (leakygo). The directive suppresses gohygiene alone; the leakygo finding
-// on the same line must survive.
-func Serve() {
-	//lint:ignore gohygiene the fixture wants only the leak finding silenced-by-name
-	go func() {
-		for {
-		}
-	}()
+// Head's return both lets a literal escape (escape) and indexes with an
+// unguarded parameter (boundsproof). The directive suppresses escape alone;
+// the boundsproof finding on the same line must survive.
+//
+//lint:hotpath scoping fixture
+func Head(xs []int64, i int) []int64 {
+	//lint:ignore escape the fixture wants only the escape finding silenced-by-name
+	return []int64{xs[i]}
 }

@@ -5,19 +5,19 @@ package lib
 
 // Detach is a fire-and-forget helper whose leak is deliberate.
 func Detach(f func()) {
-	//lint:ignore gohygiene deliberate fire-and-forget; joined by process lifetime
+	//lint:ignore golifecycle deliberate fire-and-forget; joined by process lifetime
 	go f()
 }
 
 // DetachTrailing suppresses on the same line.
 func DetachTrailing(f func()) {
-	go f() //lint:ignore gohygiene deliberate fire-and-forget; joined by process lifetime
+	go f() //lint:ignore golifecycle deliberate fire-and-forget; joined by process lifetime
 }
 
 // NoReason shows a directive missing its reason: the directive is reported
 // and the finding it meant to silence survives.
 func NoReason(f func()) {
-	//lint:ignore gohygiene
+	//lint:ignore golifecycle
 	go f()
 }
 
@@ -28,11 +28,11 @@ func WrongCheck(f func()) {
 }
 
 // Stale carries a well-formed directive that suppresses nothing: the
-// goroutine below it is joined, so gohygiene never fires and the directive
-// is dead weight the -suppressions audit must report.
+// goroutine below it is joined, so golifecycle never fires and the directive
+// is dead weight the stale-suppression audit must report.
 func Stale(f func()) {
 	done := make(chan struct{})
-	//lint:ignore gohygiene this excuse outlived the finding it excused
+	//lint:ignore golifecycle this excuse outlived the finding it excused
 	go func() {
 		defer close(done)
 		f()

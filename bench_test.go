@@ -257,9 +257,12 @@ func BenchmarkDPFillScaling(b *testing.B) {
 						b.Fatal(err)
 					}
 					if workers == 1 {
-						tbl.FillSequential()
+						err = tbl.FillSequentialCtx(context.Background())
 					} else {
-						tbl.FillParallel(pool, dp.LevelBuckets, par.RoundRobin)
+						err = tbl.FillParallelCtx(context.Background(), pool, dp.LevelBuckets, par.RoundRobin)
+					}
+					if err != nil {
+						b.Fatal(err)
 					}
 				}
 			})
@@ -302,7 +305,9 @@ func BenchmarkDPFillPruned(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("%s/%v/seq", shape.name, shape.fam), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tbl.FillSequential()
+				if err := tbl.FillSequentialCtx(context.Background()); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 		b.Run(fmt.Sprintf("%s/%v/buckets-4", shape.name, shape.fam), func(b *testing.B) {
@@ -310,7 +315,9 @@ func BenchmarkDPFillPruned(b *testing.B) {
 			defer pool.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tbl.FillParallel(pool, dp.LevelBuckets, par.RoundRobin)
+				if err := tbl.FillParallelCtx(context.Background(), pool, dp.LevelBuckets, par.RoundRobin); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -1,7 +1,7 @@
 // The dp subcommand micro-benchmarks the DP fill path in isolation: for each
 // figure workload it freezes the rounded instance at the PTAS's converged
 // target makespan and times the table fill — the sequential config-outer
-// sweep, the adaptive barrier-pool path (FillAuto) and the paper's
+// sweep, the adaptive barrier-pool path (FillAutoCtx) and the paper's
 // level-synchronous parallel fill in both level modes — across worker
 // counts.
 // Results print as a table and, with -json, land in BENCH_dp.json for
@@ -277,7 +277,7 @@ sweep:
 						if workers <= 1 {
 							continue
 						}
-						// Adaptive path: FillAuto on a persistent barrier
+						// Adaptive path: FillAutoCtx on a persistent barrier
 						// pool, the production default through the solver
 						// facade. Measured immediately after the sequential
 						// reference cells — its speedup_vs_seq column divides

@@ -7,8 +7,7 @@
 //
 // The package distinguishes two ways a solve ends early:
 //
-//   - ErrDeadline: the context's deadline passed (context.DeadlineExceeded),
-//     including deadlines installed by the legacy TimeLimit option shims.
+//   - ErrDeadline: the context's deadline passed (context.DeadlineExceeded).
 //   - ErrCanceled: every other cancellation (an explicit CancelFunc, a parent
 //     context dying, ...).
 //
@@ -27,8 +26,8 @@ import (
 // ErrCanceled reports that a solve was interrupted by its context.
 var ErrCanceled = errors.New("solve canceled")
 
-// ErrDeadline reports that a solve ran past its context deadline (or legacy
-// TimeLimit). It wraps ErrCanceled.
+// ErrDeadline reports that a solve ran past its context deadline. It wraps
+// ErrCanceled.
 var ErrDeadline = fmt.Errorf("%w: deadline exceeded", ErrCanceled)
 
 // Error is the structured cancellation failure returned by the solve path.
@@ -95,8 +94,8 @@ func Check(ctx context.Context) error {
 }
 
 // WithTimeout installs d as a context deadline when d > 0 and returns the
-// context unchanged (with a no-op CancelFunc) otherwise. It is the shim that
-// converts the legacy TimeLimit option fields into context deadlines.
+// context unchanged (with a no-op CancelFunc) otherwise. The exact solvers
+// use it to run their TimeLimit search budget on a derived context.
 func WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
 	if ctx == nil {
 		//lint:ignore ctxfirst canonical nil-ctx normalization at the API boundary, not a minted root for new work

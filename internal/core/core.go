@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/cancel"
-	"repro/internal/conf"
 	"repro/internal/dp"
 	"repro/internal/lb"
 	"repro/internal/listsched"
@@ -113,13 +112,6 @@ type Options struct {
 	// Ignored when Workers == 1. Stats.Auto reports how levels were routed.
 	// The solver facade enables it unless PaperFaithful is set.
 	AutoFill bool
-	// TimeLimit aborts the solve with ErrTimeLimit when exceeded. It is a
-	// back-compat shim over context deadlines: Solve installs it via
-	// context.WithTimeout on the caller's ctx, so the abort lands inside a
-	// running DP fill (within the fills' cooperative-check granularity), not
-	// just between bisection probes. <= 0 disables. New callers should pass
-	// a context with a deadline instead.
-	TimeLimit time.Duration
 	// LPTFallback returns plain LPT's schedule when it beats the PTAS
 	// construction. It never hurts, and it caps the guarantee at LPT's
 	// 4/3 - 1/(3m), which absorbs the +k additive slop of integer rounding
@@ -129,8 +121,6 @@ type Options struct {
 	LPTFallback bool
 	// MaxTableEntries caps the DP table size; <= 0 uses dp.DefaultMaxEntries.
 	MaxTableEntries int64
-	// MaxConfigs caps configuration enumeration; <= 0 uses the conf default.
-	MaxConfigs int
 	// Sparsify enables the sparsified DP pipeline (the ptas-sparse registry
 	// algorithm): geometric grouping of the rounded size classes (see
 	// split.group) shrinks the table's index space, and the sparse
@@ -142,14 +132,6 @@ type Options struct {
 	// faithful pipeline when either check fails (Stats.SparseCertified,
 	// Stats.SparseFallback).
 	Sparsify bool
-	// SparseOpts overrides the sparse enumerator's parameters. The zero
-	// value selects conf.DefaultSparseOptions(k). Ignored unless Sparsify.
-	SparseOpts conf.SparseOptions
-	// GroupDelta is the geometric grouping band: consecutive rounded classes
-	// within a (1+GroupDelta) factor merge, rounded down to the group floor.
-	// 0 selects the default (Epsilon); negative disables grouping. Ignored
-	// unless Sparsify.
-	GroupDelta float64
 	// Cache optionally supplies a DP cache shared across Solve calls, so
 	// repeated solves over similar instances reuse configuration
 	// enumerations and level-bucket indexes. When nil, Solve creates a
@@ -187,30 +169,6 @@ func DefaultOptions() Options {
 // (so the probe at UB is guaranteed feasible).
 type Bracket struct {
 	LB, UB pcmax.Time
-}
-
-// groupDelta resolves the effective geometric-grouping band: 0 unless
-// Sparsify, Epsilon when GroupDelta is unset, GroupDelta itself otherwise
-// (negative values disable grouping).
-func (o Options) groupDelta() float64 {
-	if !o.Sparsify {
-		return 0
-	}
-	if o.GroupDelta != 0 {
-		if o.GroupDelta < 0 {
-			return 0
-		}
-		return o.GroupDelta
-	}
-	return o.Epsilon
-}
-
-// sparseOptions resolves the effective sparse-enumerator parameters for k.
-func (o Options) sparseOptions(k int) conf.SparseOptions {
-	if o.SparseOpts == (conf.SparseOptions{}) {
-		return conf.DefaultSparseOptions(k)
-	}
-	return o.SparseOpts
 }
 
 // Stats reports what one Solve call did.
@@ -282,12 +240,6 @@ var (
 	ErrEpsilonTooSmall = errors.New("core: epsilon too small (k exceeds limit)")
 	ErrInternal        = errors.New("core: internal invariant violated")
 )
-
-// ErrTimeLimit is a deprecated alias for cancel.ErrDeadline, kept so
-// pre-context callers testing errors.Is(err, core.ErrTimeLimit) keep working
-// now that TimeLimit is a context-deadline shim. It also matches
-// cancel.ErrCanceled (a deadline is one kind of cancellation).
-var ErrTimeLimit = cancel.ErrDeadline
 
 // maxK bounds k = ceil(1/eps); beyond this the DP table cannot possibly fit
 // any entry budget, so fail fast with a clear error.
@@ -401,11 +353,6 @@ func Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedu
 	// and store the delta on the way out.
 	cacheBefore := opts.Cache.Stats()
 	defer func() { stats.Cache = opts.Cache.Stats().Sub(cacheBefore) }()
-
-	// The legacy TimeLimit option becomes a context deadline, so the DP
-	// fills' cooperative checks honor it mid-fill.
-	ctx, cancelTL := cancel.WithTimeout(ctx, opts.TimeLimit)
-	defer cancelTL()
 
 	// degrade converts a cancellation into the graceful-fallback result:
 	// plain LPT's schedule (valid, no PTAS guarantee), the partial stats,

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/cancel"
 	"repro/internal/dp"
 	"repro/internal/exact"
 	"repro/internal/par"
@@ -436,18 +437,22 @@ func TestOptionStringsAndDefaults(t *testing.T) {
 
 func TestTimeLimit(t *testing.T) {
 	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 8, N: 60, Seed: 2})
-	// A zero-duration-ish limit must trip before the first probe.
-	_, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, TimeLimit: time.Nanosecond})
-	if !errors.Is(err, ErrTimeLimit) {
-		t.Fatalf("want ErrTimeLimit, got %v", err)
+	solveWithin := func(d time.Duration, opts Options) error {
+		ctx, cancelFn := context.WithTimeout(context.Background(), d)
+		defer cancelFn()
+		_, _, err := Solve(ctx, in, opts)
+		return err
 	}
-	// A generous limit must not interfere.
-	if _, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, TimeLimit: time.Minute}); err != nil {
-		t.Fatalf("generous limit failed: %v", err)
+	// A zero-duration-ish deadline must trip before the first probe.
+	if err := solveWithin(time.Nanosecond, Options{Epsilon: 0.3}); !errors.Is(err, cancel.ErrDeadline) {
+		t.Fatalf("want cancel.ErrDeadline, got %v", err)
 	}
-	// Speculative path honours the limit too.
-	_, _, err = Solve(context.Background(), in, Options{Epsilon: 0.3, SpeculativeProbes: 4, TimeLimit: time.Nanosecond})
-	if !errors.Is(err, ErrTimeLimit) {
-		t.Fatalf("speculative: want ErrTimeLimit, got %v", err)
+	// A generous deadline must not interfere.
+	if err := solveWithin(time.Minute, Options{Epsilon: 0.3}); err != nil {
+		t.Fatalf("generous deadline failed: %v", err)
+	}
+	// Speculative path honours the deadline too.
+	if err := solveWithin(time.Nanosecond, Options{Epsilon: 0.3, SpeculativeProbes: 4}); !errors.Is(err, cancel.ErrDeadline) {
+		t.Fatalf("speculative: want cancel.ErrDeadline, got %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cancel"
+	"repro/internal/conf"
 	"repro/internal/dp"
 	"repro/internal/par"
 	"repro/pcmax"
@@ -57,16 +58,16 @@ func runAttempt(ctx context.Context, in *pcmax.Instance, k int, T pcmax.Time, op
 		return attemptResult{}, err
 	}
 	if opts.Sparsify {
-		sp.group(opts.groupDelta())
+		sp.group(opts.Epsilon)
 	}
 	if len(sp.sizes) == 0 {
 		return attemptResult{sp: sp, feasible: true}, nil // no long jobs
 	}
 	var tbl *dp.Table
 	if opts.Sparsify {
-		tbl, err = dp.NewSparse(sp.sizes, sp.counts, T, opts.MaxTableEntries, opts.MaxConfigs, opts.Cache, opts.sparseOptions(k))
+		tbl, err = dp.NewSparse(sp.sizes, sp.counts, T, opts.MaxTableEntries, 0, opts.Cache, conf.DefaultSparseOptions(k))
 	} else {
-		tbl, err = dp.NewCached(sp.sizes, sp.counts, T, opts.MaxTableEntries, opts.MaxConfigs, opts.Cache)
+		tbl, err = dp.NewCached(sp.sizes, sp.counts, T, opts.MaxTableEntries, 0, opts.Cache)
 	}
 	if err != nil {
 		return attemptResult{}, err

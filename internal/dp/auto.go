@@ -3,8 +3,8 @@ package dp
 // Adaptive parallel fill (see ALGORITHM.md section 10): the paper's
 // level-synchronous Parallel DP pays one dispatch round per anti-diagonal,
 // which on paper-scale tables costs more than the level's work — BENCH_dp
-// showed the 4-worker parallel fill ~10x slower than sequential. FillAuto
-// routes each level by its measured-calibrated width instead:
+// showed the 4-worker parallel fill ~10x slower than sequential.
+// FillAutoCtx routes each level by its measured-calibrated width instead:
 //
 //   - whole tables below autoSeqWork run the sequential config-outer sweep
 //     (no coordination at all), as do tables on a pool with no effective
@@ -18,8 +18,8 @@ package dp
 //
 // Every arm relaxes entries with the same computeEntry recurrence over the
 // same Jobs-pruned candidate sets, so the resulting table is bit-identical
-// to FillSequential (the differential harness proves it on every workload
-// family).
+// to FillSequentialCtx (the differential harness proves it on every
+// workload family).
 
 import (
 	"context"
@@ -63,7 +63,7 @@ func autoCores() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// AutoStats reports how FillAuto routed the anti-diagonal levels of one
+// AutoStats reports how FillAutoCtx routed the anti-diagonal levels of one
 // fill. The three counters sum to NPrime (all levels except the trivial
 // level 0) on a completed fill.
 type AutoStats struct {
@@ -78,12 +78,6 @@ type AutoStats struct {
 	// round on the barrier pool.
 	LevelsParallel int
 }
-
-// FillAuto is the uninterruptible shim over FillAutoCtx for callers
-// (benchmarks, ablations) with no deadline to honor.
-//
-//lint:ignore ctxfirst deprecated uninterruptible shim; by contract its callers have no context to propagate
-func (t *Table) FillAuto(bp *par.BarrierPool) { _ = t.FillAutoCtx(context.Background(), bp) }
 
 // FillAutoCtx computes the table with the adaptive parallel fill: the
 // whole-table and per-level routing described in the package comment above,

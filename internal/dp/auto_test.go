@@ -23,7 +23,7 @@ func bigTableSpec() ([]pcmax.Time, []int, pcmax.Time) {
 // counters always sum to NPrime.
 func TestFillAutoStatsRouting(t *testing.T) {
 	ref := bigTable(t)
-	ref.FillSequential()
+	mustFill(t, ref.FillSequentialCtx(context.Background()))
 
 	bp := par.NewBarrierPool(4)
 	defer bp.Close()
@@ -63,7 +63,7 @@ func TestFillAutoStatsRouting(t *testing.T) {
 
 	t.Run("nil-pool", func(t *testing.T) {
 		tbl := bigTable(t)
-		tbl.FillAuto(nil)
+		mustFill(t, tbl.FillAutoCtx(context.Background(), nil))
 		s := tbl.AutoStats
 		if s.LevelsInline != tbl.NPrime || s.LevelsFused != 0 || s.LevelsParallel != 0 {
 			t.Fatalf("nil-pool fill routed %+v, want sequential cutover", s)
@@ -77,7 +77,7 @@ func TestFillAutoStatsRouting(t *testing.T) {
 // error, and a later fill on the same table succeeds bit-identically.
 func TestFillAutoCancelAndRecover(t *testing.T) {
 	ref := bigTable(t)
-	ref.FillSequential()
+	mustFill(t, ref.FillSequentialCtx(context.Background()))
 
 	restore := AutoTuneForTest(8, 1, 8, 64)
 	defer restore()
@@ -215,7 +215,7 @@ func TestFillAutoReusesCachedLevelIndex(t *testing.T) {
 // partial index, so the next fill rebuilds it and fills bit-identically.
 func TestCanceledLevelIndexBuildIsNotCached(t *testing.T) {
 	ref := bigTable(t)
-	ref.FillSequential()
+	mustFill(t, ref.FillSequentialCtx(context.Background()))
 
 	restore := AutoTuneForTest(8, 1, 8, 64)
 	defer restore()

@@ -18,7 +18,7 @@ import (
 //     previous solution's neighborhood, and a production caller solving many
 //     similar instances repeats keys freely;
 //   - level-bucket indexes, keyed by the counts vector alone: the bucket
-//     order of FillParallel depends only on the per-class counts, which
+//     order of FillParallelCtx depends only on the per-class counts, which
 //     repeat across probes even when T (and therefore sizes and the
 //     configuration set) differ.
 //

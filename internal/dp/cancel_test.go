@@ -41,7 +41,7 @@ func canceledCtx() context.Context {
 
 func TestFillVariantsCancelAndRecover(t *testing.T) {
 	ref := bigTable(t)
-	ref.FillSequential()
+	mustFill(t, ref.FillSequentialCtx(context.Background()))
 	want, err := ref.OptValue()
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestNilAndBackgroundContextFillsComplete(t *testing.T) {
 	// The ctx-less shims delegate with context.Background(); both they and
 	// an explicit Background ctx must fill to completion.
 	a := bigTable(t)
-	a.FillSequential()
+	mustFill(t, a.FillSequentialCtx(context.Background()))
 	if _, err := a.OptValue(); err != nil {
 		t.Fatalf("shim fill left table unfilled: %v", err)
 	}

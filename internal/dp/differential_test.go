@@ -8,6 +8,7 @@ package dp
 // instances.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -101,7 +102,7 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 
 		ref := mk()
 		oracle := fillOracle(ref)
-		ref.FillSequential()
+		mustFill(t, ref.FillSequentialCtx(context.Background()))
 		optEqual(t, fmt.Sprintf("seed %d: FillSequential vs oracle", seed), ref.Opt, oracle)
 		refMachines, err := ref.Reconstruct()
 		if err != nil {
@@ -122,13 +123,13 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 		// config-outer one; it must agree entry for entry.
 		pes := mk()
 		pes.PerEntryEnum = true
-		pes.FillSequential()
+		mustFill(t, pes.FillSequentialCtx(context.Background()))
 		check("FillSequential/per-entry", pes)
 
 		// Recursive fill leaves unreachable entries unset; compare the
 		// computed subset plus the reconstruction.
 		rec := mk()
-		rec.FillRecursive()
+		mustFill(t, rec.FillRecursiveCtx(context.Background()))
 		for i := range rec.Opt {
 			if rec.Opt[i] != unset && rec.Opt[i] != oracle[i] {
 				t.Fatalf("seed %d: FillRecursive Opt[%d] = %d, want %d", seed, i, rec.Opt[i], oracle[i])
@@ -145,12 +146,12 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 		for _, mode := range []LevelMode{LevelBuckets, LevelScan} {
 			for _, strategy := range par.Strategies {
 				p := mk()
-				p.FillParallel(pool, mode, strategy)
+				mustFill(t, p.FillParallelCtx(context.Background(), pool, mode, strategy))
 				check(fmt.Sprintf("FillParallel/%v/%v", mode, strategy), p)
 
 				pe := mk()
 				pe.PerEntryEnum = true
-				pe.FillParallel(pool, mode, strategy)
+				mustFill(t, pe.FillParallelCtx(context.Background(), pool, mode, strategy))
 				check(fmt.Sprintf("FillParallel/%v/%v/per-entry", mode, strategy), pe)
 			}
 		}
@@ -158,14 +159,14 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 		// Adaptive fill, default calibration: on small tables (or clamped
 		// hardware) this is the sequential-cutover arm of FillAuto.
 		ad := mk()
-		ad.FillAuto(bpool)
+		mustFill(t, ad.FillAutoCtx(context.Background(), bpool))
 		check("FillAuto/default", ad)
 
 		// Adaptive fill with the calibration forced so these small tables
 		// exercise the inline, fused-batch and wide barrier-pool arms.
 		restore := AutoTuneForTest(8, 1, 2, 8)
 		af := mk()
-		af.FillAuto(bpool)
+		mustFill(t, af.FillAutoCtx(context.Background(), bpool))
 		restore()
 		check("FillAuto/forced", af)
 		if s := af.AutoStats; s.LevelsInline+s.LevelsFused+s.LevelsParallel != af.NPrime {
@@ -179,7 +180,7 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ct.FillParallel(pool, LevelBuckets, par.Dynamic)
+			mustFill(t, ct.FillParallelCtx(context.Background(), pool, LevelBuckets, par.Dynamic))
 			check(fmt.Sprintf("cached round %d", round), ct)
 		}
 	}
@@ -229,16 +230,16 @@ func TestDifferentialPackedBoundaries(t *testing.T) {
 				t.Fatalf("packW = %d (packed=%v), want %d", ref.packW, ref.packed != nil, tc.packW)
 			}
 			oracle := fillOracle(ref)
-			ref.FillSequential()
+			mustFill(t, ref.FillSequentialCtx(context.Background()))
 			optEqual(t, "FillSequential vs oracle", ref.Opt, oracle)
 
 			p := mk()
-			p.FillParallel(pool, LevelBuckets, par.Dynamic)
+			mustFill(t, p.FillParallelCtx(context.Background(), pool, LevelBuckets, par.Dynamic))
 			optEqual(t, "FillParallel", p.Opt, oracle)
 
 			restore := AutoTuneForTest(8, 1, 2, 8)
 			a := mk()
-			a.FillAuto(bpool)
+			mustFill(t, a.FillAutoCtx(context.Background(), bpool))
 			restore()
 			optEqual(t, "FillAuto/forced", a.Opt, oracle)
 		})
@@ -259,7 +260,7 @@ func TestReconstructManyConfigs(t *testing.T) {
 	if len(tbl.Configs) < 400 {
 		t.Fatalf("want a config-heavy table, got %d configs", len(tbl.Configs))
 	}
-	tbl.FillSequential()
+	mustFill(t, tbl.FillSequentialCtx(context.Background()))
 	machines, err := tbl.Reconstruct()
 	if err != nil {
 		t.Fatal(err)

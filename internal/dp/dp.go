@@ -15,23 +15,25 @@
 //
 // Four fills are provided, all producing bit-identical tables:
 //
-//   - FillSequential: bottom-up in index order (every dependency of entry i
-//     has a smaller index, so a single left-to-right sweep is valid), run as
-//     the configuration-outer relaxation sweep.
-//   - FillRecursive: top-down memoized recursion starting from the last
+//   - FillSequentialCtx: bottom-up in index order (every dependency of
+//     entry i has a smaller index, so a single left-to-right sweep is
+//     valid), run as the configuration-outer relaxation sweep.
+//   - FillRecursiveCtx: top-down memoized recursion starting from the last
 //     entry, faithful to the paper's Algorithm 2 description ("starts from
 //     the last entry of the DP-table and recursively computes the other
 //     entries until it ends up at the first element").
-//   - FillParallel: the paper's Algorithm 3. Entries on the same
+//   - FillParallelCtx: the paper's Algorithm 3. Entries on the same
 //     anti-diagonal (equal digit sum, the paper's d_i values) are mutually
 //     independent; levels l = 0..n' run sequentially with a barrier, entries
 //     within a level run on P workers.
-//   - FillAuto: Algorithm 3's level order on a barrier pool, with small
-//     tables cut over to FillSequential, narrow levels run inline and runs
-//     of mid-width levels fused into one dispatch (auto.go).
+//   - FillAutoCtx: Algorithm 3's level order on a barrier pool, with small
+//     tables cut over to FillSequentialCtx, narrow levels run inline and
+//     runs of mid-width levels fused into one dispatch (auto.go).
 //
-// The solve driver (internal/core) uses FillSequential at one worker and
-// FillAuto at more; FillRecursive and FillParallel are the paper's
+// Each fill takes a context and polls it cooperatively; a fill given
+// context.Background() (nil Done channel) runs its uninstrumented loop. The
+// solve driver (internal/core) uses FillSequentialCtx at one worker and
+// FillAutoCtx at more; FillRecursiveCtx and FillParallelCtx are the paper's
 // Algorithms 2 and 3, kept for the figure and ablation experiments and as
 // differential references.
 //
@@ -65,7 +67,7 @@ import (
 	"repro/pcmax"
 )
 
-// LevelMode selects how FillParallel locates the entries of a level.
+// LevelMode selects how FillParallelCtx locates the entries of a level.
 type LevelMode int
 
 const (
@@ -105,7 +107,7 @@ var (
 	ErrInconsistent = errors.New("dp: inconsistent table")
 )
 
-// unset marks entries not yet computed by FillRecursive.
+// unset marks entries not yet computed by FillRecursiveCtx.
 const unset = int32(-1)
 
 // EnumMode selects which configuration enumerator a table is built with.
@@ -158,8 +160,8 @@ type Table struct {
 	// exists for fidelity runs and ablation benchmarks.
 	PerEntryEnum bool
 
-	// AutoStats reports how FillAuto routed the anti-diagonal levels; it is
-	// meaningful only after a FillAuto/FillAutoCtx call (other fill variants
+	// AutoStats reports how FillAutoCtx routed the anti-diagonal levels; it
+	// is meaningful only after a FillAutoCtx call (other fill variants
 	// leave it untouched).
 	AutoStats AutoStats
 
@@ -203,7 +205,7 @@ func New(sizes []pcmax.Time, counts []int, T pcmax.Time, maxEntries int64, maxCo
 }
 
 // NewCached is New with a shared Cache: configuration enumeration and (in
-// FillParallel) the level-bucket index are reused when another table with
+// FillParallelCtx) the level-bucket index are reused when another table with
 // the same rounded classes was built against the same cache — which is
 // exactly what a bisection search produces. A nil cache disables reuse.
 func NewCached(sizes []pcmax.Time, counts []int, T pcmax.Time, maxEntries int64, maxConfigs int, cache *Cache) (*Table, error) {
@@ -605,13 +607,6 @@ func ctxDone(ctx context.Context) <-chan struct{} {
 	return ctx.Done()
 }
 
-// FillSequential computes every entry bottom-up with no cancellation point;
-// it is the uninterruptible shim over FillSequentialCtx kept for callers
-// (benchmarks, ablations) that have no deadline to honor.
-//
-//lint:ignore ctxfirst deprecated uninterruptible shim; by contract its callers have no context to propagate
-func (t *Table) FillSequential() { _ = t.FillSequentialCtx(context.Background()) }
-
 // FillSequentialCtx computes every entry bottom-up, checking ctx every
 // fillCheckEvery entries. The default path runs the configuration-outer
 // relaxation sweep (fillConfigOuter); PerEntryEnum keeps the entry-ordered
@@ -757,20 +752,14 @@ func (t *Table) fillConfigOuter(ctx context.Context) error {
 	return nil
 }
 
-// FillRecursive computes the table top-down with memoization, starting from
-// the last entry, exactly as the paper describes the sequential Algorithm 2.
-// Only entries reachable from N by configuration subtractions are computed;
-// unreachable entries keep an internal "unset" marker that OptValue and
-// Reconstruct never observe. It is the uninterruptible shim over
-// FillRecursiveCtx.
-//
-//lint:ignore ctxfirst deprecated uninterruptible shim; by contract its callers have no context to propagate
-func (t *Table) FillRecursive() { _ = t.FillRecursiveCtx(context.Background()) }
-
-// FillRecursiveCtx is FillRecursive with cooperative cancellation: the
-// memoized recursion polls ctx every fillCheckEvery entries, and on
-// cancellation unwinds immediately, leaves the table unfilled (memoized
-// values are partial garbage) and returns the structured cancel error.
+// FillRecursiveCtx computes the table top-down with memoization, starting
+// from the last entry, exactly as the paper describes the sequential
+// Algorithm 2. Only entries reachable from N by configuration subtractions
+// are computed; unreachable entries keep an internal "unset" marker that
+// OptValue and Reconstruct never observe. The memoized recursion polls ctx
+// every fillCheckEvery entries, and on cancellation unwinds immediately,
+// leaves the table unfilled (memoized values are partial garbage) and
+// returns the structured cancel error.
 func (t *Table) FillRecursiveCtx(ctx context.Context) error {
 	for i := range t.Opt {
 		t.Opt[i] = unset
@@ -947,23 +936,16 @@ func (t *Table) levelIndex(ctx context.Context, pfor func(n int, body func(i int
 	return t.cache.levelIndexFor(t.Counts, build)
 }
 
-// FillParallel computes the table with the paper's Parallel DP (Algorithm 3)
-// on the given worker pool: level d_i = l entries in parallel, levels in
-// sequence. The pool may be reused across calls and bisection iterations. It
-// is the uninterruptible shim over FillParallelCtx.
-func (t *Table) FillParallel(pool *par.Pool, mode LevelMode, strategy par.Strategy) {
-	//lint:ignore ctxfirst deprecated uninterruptible shim; by contract its callers have no context to propagate
-	_ = t.FillParallelCtx(context.Background(), pool, mode, strategy)
-}
-
-// FillParallelCtx is FillParallel with cooperative cancellation: ctx is
-// checked between anti-diagonal levels and, through the pool's ForWorkerCtx,
-// every cancelCheckEvery entries inside each level, so an abort lands within
-// one level's residual work. Workers stop claiming entries, the level barrier
-// still completes (no leaked goroutines, the pool stays reusable) and the
-// structured cancel error is returned with the table left unfilled. It
-// panics on a LevelMode outside the declared constants, which is a
-// programming error at the call site.
+// FillParallelCtx computes the table with the paper's Parallel DP
+// (Algorithm 3) on the given worker pool: level d_i = l entries in parallel,
+// levels in sequence. The pool may be reused across calls and bisection
+// iterations. ctx is checked between anti-diagonal levels and, through the
+// pool's ForWorkerCtx, every cancelCheckEvery entries inside each level, so
+// an abort lands within one level's residual work. Workers stop claiming
+// entries, the level barrier still completes (no leaked goroutines, the pool
+// stays reusable) and the structured cancel error is returned with the
+// table left unfilled. It panics on a LevelMode outside the declared
+// constants, which is a programming error at the call site.
 func (t *Table) FillParallelCtx(ctx context.Context, pool *par.Pool, mode LevelMode, strategy par.Strategy) error {
 	if t.Sigma == 1 {
 		if err := cancel.Check(ctx); err != nil {

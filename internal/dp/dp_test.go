@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,15 @@ import (
 	"repro/internal/rng"
 	"repro/pcmax"
 )
+
+// mustFill fails the test on a fill error. Fills given context.Background()
+// cannot be canceled, so any error is a bug.
+func mustFill(tb testing.TB, err error) {
+	tb.Helper()
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
 
 // paperTable builds the paper's Section III example: sizes (6, 11), counts
 // N = (2, 3), target makespan T = 30.
@@ -39,7 +49,7 @@ func TestPaperExampleDimensions(t *testing.T) {
 
 func TestPaperExampleOptValues(t *testing.T) {
 	tbl := paperTable(t)
-	tbl.FillSequential()
+	mustFill(t, tbl.FillSequentialCtx(context.Background()))
 	// Hand-checked values: a machine holds at most (1,2)=28, (2,1)=23,
 	// (0,2)=22 etc. OPT(2,3) needs 2 machines: (1,2)+(1,1).
 	cases := map[[2]int]int32{
@@ -64,10 +74,10 @@ func TestPaperExampleOptValues(t *testing.T) {
 
 func TestAllFillsAgreeOnPaperExample(t *testing.T) {
 	ref := paperTable(t)
-	ref.FillSequential()
+	mustFill(t, ref.FillSequentialCtx(context.Background()))
 
 	rec := paperTable(t)
-	rec.FillRecursive()
+	mustFill(t, rec.FillRecursiveCtx(context.Background()))
 	if rec.Opt[rec.Sigma-1] != ref.Opt[ref.Sigma-1] {
 		t.Fatalf("recursive OPT %d != sequential %d", rec.Opt[rec.Sigma-1], ref.Opt[ref.Sigma-1])
 	}
@@ -77,7 +87,7 @@ func TestAllFillsAgreeOnPaperExample(t *testing.T) {
 	for _, mode := range []LevelMode{LevelBuckets, LevelScan} {
 		for _, strategy := range par.Strategies {
 			tbl := paperTable(t)
-			tbl.FillParallel(pool, mode, strategy)
+			mustFill(t, tbl.FillParallelCtx(context.Background(), pool, mode, strategy))
 			for i := range tbl.Opt {
 				if tbl.Opt[i] != ref.Opt[i] {
 					t.Fatalf("mode %v strategy %v: entry %d = %d, want %d",
@@ -90,11 +100,11 @@ func TestAllFillsAgreeOnPaperExample(t *testing.T) {
 
 func TestPerEntryEnumMatchesShared(t *testing.T) {
 	ref := paperTable(t)
-	ref.FillSequential()
+	mustFill(t, ref.FillSequentialCtx(context.Background()))
 
 	tbl := paperTable(t)
 	tbl.PerEntryEnum = true
-	tbl.FillSequential()
+	mustFill(t, tbl.FillSequentialCtx(context.Background()))
 	for i := range tbl.Opt {
 		if tbl.Opt[i] != ref.Opt[i] {
 			t.Fatalf("per-entry enum entry %d = %d, want %d", i, tbl.Opt[i], ref.Opt[i])
@@ -103,7 +113,7 @@ func TestPerEntryEnumMatchesShared(t *testing.T) {
 
 	rec := paperTable(t)
 	rec.PerEntryEnum = true
-	rec.FillRecursive()
+	mustFill(t, rec.FillRecursiveCtx(context.Background()))
 	if rec.Opt[rec.Sigma-1] != ref.Opt[ref.Sigma-1] {
 		t.Fatalf("per-entry recursive OPT %d != %d", rec.Opt[rec.Sigma-1], ref.Opt[ref.Sigma-1])
 	}
@@ -112,7 +122,7 @@ func TestPerEntryEnumMatchesShared(t *testing.T) {
 	defer pool.Close()
 	ptbl := paperTable(t)
 	ptbl.PerEntryEnum = true
-	ptbl.FillParallel(pool, LevelBuckets, par.RoundRobin)
+	mustFill(t, ptbl.FillParallelCtx(context.Background(), pool, LevelBuckets, par.RoundRobin))
 	for i := range ptbl.Opt {
 		if ptbl.Opt[i] != ref.Opt[i] {
 			t.Fatalf("per-entry parallel entry %d = %d, want %d", i, ptbl.Opt[i], ref.Opt[i])
@@ -122,7 +132,7 @@ func TestPerEntryEnumMatchesShared(t *testing.T) {
 
 func TestReconstructPaperExample(t *testing.T) {
 	tbl := paperTable(t)
-	tbl.FillSequential()
+	mustFill(t, tbl.FillSequentialCtx(context.Background()))
 	machines, err := tbl.Reconstruct()
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +158,7 @@ func TestReconstructPaperExample(t *testing.T) {
 
 func TestReconstructAfterRecursiveFill(t *testing.T) {
 	tbl := paperTable(t)
-	tbl.FillRecursive()
+	mustFill(t, tbl.FillRecursiveCtx(context.Background()))
 	machines, err := tbl.Reconstruct()
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +186,7 @@ func TestEmptyTable(t *testing.T) {
 	if tbl.Sigma != 1 {
 		t.Fatalf("sigma = %d, want 1", tbl.Sigma)
 	}
-	tbl.FillSequential()
+	mustFill(t, tbl.FillSequentialCtx(context.Background()))
 	opt, err := tbl.OptValue()
 	if err != nil || opt != 0 {
 		t.Fatalf("OPT = %d, %v; want 0", opt, err)
@@ -192,7 +202,7 @@ func TestEmptyTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl2.FillParallel(pool, LevelBuckets, par.RoundRobin)
+	mustFill(t, tbl2.FillParallelCtx(context.Background(), pool, LevelBuckets, par.RoundRobin))
 	if opt, err := tbl2.OptValue(); err != nil || opt != 0 {
 		t.Fatalf("parallel empty table OPT = %d, %v", opt, err)
 	}
@@ -295,17 +305,17 @@ func TestAllFillsAgreeOnRandomTablesProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		ref := randomTable(src)
-		ref.FillSequential()
+		mustFill(t, ref.FillSequentialCtx(context.Background()))
 
 		rec := cloneEmpty(ref)
-		rec.FillRecursive()
+		mustFill(t, rec.FillRecursiveCtx(context.Background()))
 		if rec.Opt[rec.Sigma-1] != ref.Opt[ref.Sigma-1] {
 			return false
 		}
 
 		for _, mode := range []LevelMode{LevelBuckets, LevelScan} {
 			p := cloneEmpty(ref)
-			p.FillParallel(pool, mode, par.Dynamic)
+			mustFill(t, p.FillParallelCtx(context.Background(), pool, mode, par.Dynamic))
 			for i := range p.Opt {
 				if p.Opt[i] != ref.Opt[i] {
 					return false
@@ -315,7 +325,7 @@ func TestAllFillsAgreeOnRandomTablesProperty(t *testing.T) {
 
 		pe := cloneEmpty(ref)
 		pe.PerEntryEnum = true
-		pe.FillSequential()
+		mustFill(t, pe.FillSequentialCtx(context.Background()))
 		for i := range pe.Opt {
 			if pe.Opt[i] != ref.Opt[i] {
 				return false
@@ -332,7 +342,7 @@ func TestReconstructValidityProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		tbl := randomTable(src)
-		tbl.FillSequential()
+		mustFill(t, tbl.FillSequentialCtx(context.Background()))
 		machines, err := tbl.Reconstruct()
 		if err != nil {
 			return false
@@ -370,7 +380,7 @@ func TestOptMatchesGreedySingleSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.FillSequential()
+	mustFill(t, tbl.FillSequentialCtx(context.Background()))
 	opt, err := tbl.OptValue()
 	if err != nil {
 		t.Fatal(err)

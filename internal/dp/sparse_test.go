@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/conf"
@@ -69,7 +70,7 @@ func TestSparseTableStaysFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.FillSequential()
+	mustFill(t, ref.FillSequentialCtx(context.Background()))
 	refOpt, err := ref.OptValue()
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +80,7 @@ func TestSparseTableStaysFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.FillSequential()
+	mustFill(t, tbl.FillSequentialCtx(context.Background()))
 	opt, err := tbl.OptValue()
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ package dp_test
 // internal/core, which imports dp.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -50,7 +51,9 @@ func TestFillAutoBitIdenticalAcrossWorkloadFamilies(t *testing.T) {
 				return tbl
 			}
 			ref := mk()
-			ref.FillSequential()
+			if err := ref.FillSequentialCtx(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 
 			auto := mk()
 			if err := auto.FillAutoCtx(t.Context(), bp); err != nil {

@@ -42,11 +42,11 @@ type Options struct {
 	// NodeLimit caps decision nodes over the whole solve; <= 0 selects
 	// DefaultNodeLimit.
 	NodeLimit int64
-	// TimeLimit caps wall-clock time; <= 0 means no limit. It is a
-	// back-compat shim over context deadlines (the solvers install it with
-	// context.WithTimeout on the caller's ctx); new callers should pass a
-	// context with a deadline instead. Either way an expired clock stops
-	// the search and the best incumbent is returned with Optimal == false.
+	// TimeLimit caps wall-clock time; <= 0 means no limit. The solvers
+	// install it with context.WithTimeout on a context derived from the
+	// caller's, so the caller's ctx stays live when only the budget runs
+	// out. Either way an expired clock stops the search and the best
+	// incumbent is returned with Optimal == false.
 	TimeLimit time.Duration
 	// DisableMultiFitIncumbent drops the MultiFit upper bound and keeps
 	// only LPT (ablation of the incumbent choice).

@@ -48,8 +48,6 @@ type Config struct {
 	// stderr and skipped or filled from the fallback/incumbent instead of
 	// aborting the whole experiment.
 	AlgoTimeout time.Duration
-	// BarrierNs sets the simulated per-level barrier (0 = library default).
-	BarrierNs float64
 	// WallClock also measures real parallel runs per core count.
 	WallClock bool
 	// PaperFaithful switches the PTAS to the presentation-faithful DP
@@ -202,7 +200,7 @@ func (cfg *Config) measure(ctx context.Context, in *pcmax.Instance) (*measuremen
 	}
 	for _, c := range cfg.Cores {
 		if profile.SeqFill > 0 && profile.TotalWork() > 0 {
-			fill, err := simsched.Machine{Workers: c, BarrierNs: cfg.BarrierNs}.FillTime(profile)
+			fill, err := simsched.Machine{Workers: c}.FillTime(profile)
 			if err != nil {
 				return nil, fmt.Errorf("simulate %d cores: %w", c, err)
 			}

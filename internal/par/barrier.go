@@ -1,7 +1,7 @@
 package par
 
 // The barrier pool is the low-overhead dispatch substrate behind the DP's
-// adaptive fill (dp.FillAuto): a level-synchronous computation runs thousands
+// adaptive fill (dp.FillAutoCtx): a level-synchronous computation runs thousands
 // of tiny parallel-for rounds, and the per-round cost of Pool — a WaitGroup
 // Add/Wait pair, a mutex-serialized channel send per worker and a scheduler
 // wakeup per worker — dominates the actual work on paper-scale tables (see

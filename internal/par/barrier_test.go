@@ -293,7 +293,19 @@ func TestBarrierCloseDuringRoundsDrains(t *testing.T) {
 }
 
 func TestBarrierCloseStopsResidentGoroutines(t *testing.T) {
+	deadline := time.Now().Add(5 * time.Second)
+	// Closed pools of earlier tests release their resident goroutines
+	// asynchronously; sample the baseline only once the count stops
+	// falling, or their exits would eat into the start bound below.
 	before := runtime.NumGoroutine()
+	for time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		now := runtime.NumGoroutine()
+		if now >= before {
+			break
+		}
+		before = now
+	}
 	pools := make([]*BarrierPool, 8)
 	for i := range pools {
 		pools[i] = NewBarrierPool(8)
@@ -306,7 +318,6 @@ func TestBarrierCloseStopsResidentGoroutines(t *testing.T) {
 		b.For(1024, func(int) {}) // park/unpark cycle before Close
 		b.Close()
 	}
-	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before+4 {
 			return

@@ -49,12 +49,6 @@ type Options struct {
 	// to multiples of max(1, eps*T/4) when the instance has more than
 	// MaxDistinctExact distinct sizes.
 	Epsilon float64
-	// MaxConfigs caps per-probe configuration enumeration; <= 0 uses
-	// conf.DefaultMaxConfigs.
-	MaxConfigs int
-	// MaxStates caps the machine-DP state space (the product of
-	// per-size-class counts+1); <= 0 uses DefaultMaxStates.
-	MaxStates int64
 	// MaxDistinctExact is the distinct-size threshold below which exact mode
 	// runs; <= 0 uses DefaultMaxDistinctExact.
 	MaxDistinctExact int
@@ -93,7 +87,7 @@ var (
 	// ErrUnsupported reports an instance whose variant uses features beyond
 	// windows and setup times (release times are out of scope here).
 	ErrUnsupported = errors.New("trsched: solver supports only the setup and window variants")
-	// ErrTooManyStates reports a machine-DP state space beyond MaxStates.
+	// ErrTooManyStates reports a machine-DP state space beyond DefaultMaxStates.
 	ErrTooManyStates = errors.New("trsched: size-class state space exceeds the budget")
 	// ErrInfeasible reports an instance with a job that fits no machine's
 	// windows at any time.
@@ -269,17 +263,13 @@ func probe(ctx context.Context, in *pcmax.Instance, T pcmax.Time, exact bool,
 	}
 
 	// Mixed-radix strides over the class counts, exactly like the DP table.
-	maxStates := opts.MaxStates
-	if maxStates <= 0 {
-		maxStates = DefaultMaxStates
-	}
 	stride := make([]int64, d)
 	states := int64(1)
 	for i := d - 1; i >= 0; i-- {
 		stride[i] = states
 		states *= int64(counts[i] + 1)
-		if states > maxStates {
-			return nil, pst, fmt.Errorf("%w (need %d, limit %d)", ErrTooManyStates, states, maxStates)
+		if states > DefaultMaxStates {
+			return nil, pst, fmt.Errorf("%w (need %d, limit %d)", ErrTooManyStates, states, DefaultMaxStates)
 		}
 	}
 	// The witness DP keeps one int32 layer per machine; bound the whole
@@ -289,7 +279,7 @@ func probe(ctx context.Context, in *pcmax.Instance, T pcmax.Time, exact bool,
 	}
 	pst.States = states
 
-	cfgs, err := conf.Enumerate(sizes, counts, T, stride, opts.MaxConfigs)
+	cfgs, err := conf.Enumerate(sizes, counts, T, stride, 0)
 	if err != nil {
 		return nil, pst, err
 	}

@@ -1,13 +1,11 @@
 #!/bin/sh
-# Repo-wide verification: formatting, build, vet (the binaries get an
-# explicit pass so a library-only vet invocation can never silently skip
-# them), the schedlint invariant gate, the full test suite with shuffled
-# test order, the benchmark module's vet and self-check, then the race
-# detector over the packages with real concurrency (worker pool, parallel
-# DP fills, exact solver, core driver, solver facade). Every `go test`
-# carries a -timeout guard so a hung test fails the pipeline instead of
-# wedging it. This is the gate every PR runs before merging; ROADMAP.md
-# points here.
+# Repo-wide verification: formatting, build, vet, the schedlint invariant
+# gate, the full test suite with shuffled test order, the benchmark
+# module's vet and self-check, then the race detector over the packages
+# with real concurrency (worker pool, parallel DP fills, exact solver, core
+# driver, solver facade). Every `go test` carries a -timeout guard so a
+# hung test fails the pipeline instead of wedging it. This is the gate every
+# PR runs before merging; ROADMAP.md points here.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -22,7 +20,6 @@ fi
 
 go build ./...
 go vet ./...
-go vet ./cmd/...
 
 # schedlint enforces the repo's concurrency/determinism invariants with all
 # thirteen analyzers: the dataflow-based concurrency checks (ALGORITHM.md

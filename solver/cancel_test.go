@@ -123,18 +123,6 @@ func TestPTASDeadlineError(t *testing.T) {
 	}
 }
 
-func TestPTASTimeLimitShim(t *testing.T) {
-	in, opts := slowInstance(t)
-	opts.TimeLimit = 50 * time.Millisecond
-	sched, _, err := solver.PTAS(context.Background(), in, opts)
-	if !errors.Is(err, solver.ErrDeadline) {
-		t.Fatalf("TimeLimit shim error %v does not match solver.ErrDeadline", err)
-	}
-	if sched == nil {
-		t.Fatal("want fallback schedule from the TimeLimit shim")
-	}
-}
-
 func TestRegistryCoversAllAlgorithms(t *testing.T) {
 	want := []string{"brute", "exact", "ip", "lpt", "ls", "multifit", "ptas", "ptas-sparse", "ptas-tr", "sahni"}
 	got := solver.Names()
@@ -208,5 +196,42 @@ func TestRegistryMarksInterrupted(t *testing.T) {
 	}
 	if sched == nil || rep.Makespan == 0 {
 		t.Fatalf("interrupted report lost the fallback: sched=%v makespan=%d", sched, rep.Makespan)
+	}
+}
+
+// TestRegistryExactTimeLimitIsBudget pins the two ways to bound an exact
+// solve through the registry. ExactOptions.TimeLimit is a search budget: the
+// incumbent comes back as a normal, uninterrupted result with Optimal ==
+// false. A ctx deadline interrupts the solve: the registry reports
+// ErrDeadline and marks the report interrupted. The 1ns bound expires before
+// the search's first cancellation poll (every 8192 nodes), and this
+// instance's LPT incumbent is not provably optimal within that many nodes,
+// so the outcome does not depend on the host's speed.
+func TestRegistryExactTimeLimitIsBudget(t *testing.T) {
+	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 10, N: 50, Seed: 3})
+
+	sched, rep, err := solver.Solve(context.Background(), "ip", in,
+		solver.Options{Exact: solver.ExactOptions{TimeLimit: time.Nanosecond}})
+	if err != nil {
+		t.Fatalf("TimeLimit budget: want nil error, got %v", err)
+	}
+	if rep.Interrupted {
+		t.Fatal("TimeLimit budget: report marked interrupted")
+	}
+	if sched == nil || rep.Exact == nil || rep.Exact.Optimal {
+		t.Fatalf("TimeLimit budget: want the incumbent with Optimal == false, got sched=%v exact=%+v", sched, rep.Exact)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	sched, rep, err = solver.Solve(ctx, "ip", in, solver.Options{})
+	if !errors.Is(err, solver.ErrDeadline) {
+		t.Fatalf("ctx deadline: error %v does not match solver.ErrDeadline", err)
+	}
+	if !rep.Interrupted {
+		t.Fatal("ctx deadline: report not marked interrupted")
+	}
+	if sched == nil || rep.Exact == nil || rep.Exact.Optimal {
+		t.Fatalf("ctx deadline: want the incumbent with Optimal == false, got sched=%v exact=%+v", sched, rep.Exact)
 	}
 }

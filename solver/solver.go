@@ -22,8 +22,10 @@
 // interrupted solve returns an error matching ErrCanceled (and ErrDeadline
 // when a deadline caused it); PTAS additionally degrades gracefully,
 // returning plain LPT's schedule next to the error so callers still get a
-// valid (if unguaranteed) answer. The legacy TimeLimit option fields remain
-// as thin shims over context deadlines and are deprecated in favor of ctx.
+// valid (if unguaranteed) answer. The one clock option left,
+// ExactOptions.TimeLimit, is a search budget rather than a deadline: when it
+// runs out, the exact solvers return their incumbent as a normal,
+// uninterrupted result (see ExactOptions).
 //
 // The named-dispatch layer lives in registry.go: every algorithm is also
 // reachable through Registry by name via the uniform Algorithm interface.
@@ -49,8 +51,8 @@ import (
 var (
 	// ErrCanceled matches every context-interrupted solve.
 	ErrCanceled = cancel.ErrCanceled
-	// ErrDeadline matches solves interrupted by a context deadline
-	// (including legacy TimeLimit shims); it wraps ErrCanceled.
+	// ErrDeadline matches solves interrupted by a context deadline; it
+	// wraps ErrCanceled.
 	ErrDeadline = cancel.ErrDeadline
 )
 
@@ -126,9 +128,6 @@ type PTASOptions struct {
 	// (1<<25 entries). The PTAS fails with a descriptive error when an
 	// instance/epsilon combination would exceed it.
 	MaxTableEntries int64
-	// MaxConfigs caps machine-configuration enumeration; <= 0 uses the
-	// library default.
-	MaxConfigs int
 	// SpeculativeProbes, when > 1, parallelizes across the bisection search
 	// instead of within the DP fill: that many target makespans are probed
 	// concurrently per round, each with a sequential fill. An extension
@@ -144,15 +143,6 @@ type PTASOptions struct {
 	// paper's level-synchronous Algorithm 3 on every table.
 	// DefaultPTASOptions enables it; it has no effect at Workers == 1.
 	AdaptiveFill bool
-	// TimeLimit aborts the solve when exceeded.
-	//
-	// Deprecated: TimeLimit is a back-compat shim over context deadlines —
-	// it is applied via context.WithTimeout on the caller's ctx, so the
-	// abort now lands inside a running DP fill, not just between bisection
-	// probes. New callers should pass a deadline on ctx instead; <= 0
-	// disables. Small epsilons can take super-exponential time, so
-	// production callers should bound the solve one way or the other.
-	TimeLimit time.Duration
 	// NoLPTFallback disables returning plain LPT's schedule when it beats
 	// the PTAS construction. The fallback (on by default through
 	// DefaultPTASOptions) never hurts and is what makes the stated
@@ -231,8 +221,7 @@ type PTASStats struct {
 // PTAS runs the (1+eps)-approximation scheme, parallel when
 // opts.Workers != 1.
 //
-// When ctx is canceled (or its deadline — or the deprecated TimeLimit shim —
-// expires) mid-solve, PTAS degrades gracefully: it returns plain LPT's
+// When ctx is canceled (or its deadline expires) mid-solve, PTAS degrades gracefully: it returns plain LPT's
 // schedule (non-nil, valid, without the (1+eps) guarantee), the partial
 // stats, and an error matching ErrCanceled/ErrDeadline that carries the
 // progress made (see Interruption).
@@ -257,11 +246,9 @@ func coreOptions(opts PTASOptions) core.Options {
 		Epsilon:           opts.Epsilon,
 		Workers:           opts.Workers,
 		MaxTableEntries:   opts.MaxTableEntries,
-		MaxConfigs:        opts.MaxConfigs,
 		Strategy:          par.RoundRobin,
 		SpeculativeProbes: opts.SpeculativeProbes,
 		AutoFill:          opts.AdaptiveFill && !opts.PaperFaithful,
-		TimeLimit:         opts.TimeLimit,
 		LPTFallback:       !opts.NoLPTFallback,
 		Sparsify:          opts.Sparsify,
 	}
@@ -283,12 +270,13 @@ func coreOptions(opts PTASOptions) core.Options {
 type ExactOptions struct {
 	// NodeLimit caps search nodes; <= 0 uses the library default.
 	NodeLimit int64
-	// TimeLimit caps wall-clock time; <= 0 means unlimited.
-	//
-	// Deprecated: TimeLimit is a back-compat shim over context deadlines;
-	// new callers should pass a deadline on ctx instead. Either way the
-	// best incumbent is returned with Optimal == false when the clock runs
-	// out.
+	// TimeLimit is a wall-clock search budget; <= 0 means unlimited. When
+	// it runs out the best incumbent is returned with Optimal == false and
+	// a nil error, like a MIP solver's time limit. Through the registry
+	// ("exact", "ip") the report is then not marked interrupted, whereas a
+	// ctx deadline yields ErrDeadline and Report.Interrupted; callers that
+	// want the incumbent as an ordinary result (psched -exact-timeout, the
+	// experiment harness) use TimeLimit.
 	TimeLimit time.Duration
 	// Workers > 1 parallelizes each feasibility probe by racing the
 	// first-bin subtrees across that many goroutines (an extension in the
@@ -352,12 +340,6 @@ type SahniOptions struct {
 	// state space finite), > 0 is a (1+Epsilon)-approximation with a
 	// quantized state space.
 	Epsilon float64
-	// MaxStates bounds the DP state set per job; <= 0 uses the library
-	// default. Exceeding it returns an error: the scheme is only practical
-	// for small m.
-	MaxStates int
-	// MaxMachines bounds m; <= 0 uses the library default (5).
-	MaxMachines int
 }
 
 // Sahni schedules the instance with Sahni's fixed-m dynamic program: exact
@@ -367,9 +349,5 @@ type SahniOptions struct {
 // sweep and within large sweeps; a cancellation surfaces as an error
 // matching ErrCanceled.
 func Sahni(ctx context.Context, in *pcmax.Instance, opts SahniOptions) (*pcmax.Schedule, error) {
-	return sahni.Solve(ctx, in, sahni.Options{
-		Epsilon:     opts.Epsilon,
-		MaxStates:   opts.MaxStates,
-		MaxMachines: opts.MaxMachines,
-	})
+	return sahni.Solve(ctx, in, sahni.Options{Epsilon: opts.Epsilon})
 }

@@ -2,10 +2,12 @@ package solver_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/dp"
 	"repro/internal/rng"
 	"repro/internal/workload"
 	"repro/pcmax"
@@ -171,6 +173,31 @@ func TestPTASTableBudgetError(t *testing.T) {
 	opts.MaxTableEntries = 2
 	if _, _, err := solver.PTAS(context.Background(), in, opts); err == nil {
 		t.Fatal("want table budget error")
+	}
+}
+
+// TestRegistryKeepsPTASFieldsAtZeroEpsilon: a zero Epsilon takes only
+// Epsilon and AdaptiveFill from DefaultPTASOptions; every other PTAS field
+// the caller set still reaches the solve.
+func TestRegistryKeepsPTASFieldsAtZeroEpsilon(t *testing.T) {
+	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 10, N: 50, Seed: 1})
+
+	_, _, err := solver.Solve(context.Background(), "ptas", in,
+		solver.Options{PTAS: solver.PTASOptions{Workers: 1, MaxTableEntries: 2}})
+	if !errors.Is(err, dp.ErrTableTooLarge) {
+		t.Fatalf("MaxTableEntries dropped: want dp.ErrTableTooLarge, got %v", err)
+	}
+
+	_, rep, err := solver.Solve(context.Background(), "ptas", in,
+		solver.Options{PTAS: solver.PTASOptions{Workers: 1, NoLPTFallback: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PTAS.K != 4 {
+		t.Fatalf("K = %d, want 4 from the default eps 0.3", rep.PTAS.K)
+	}
+	if rep.PTAS.UsedLPTFallback {
+		t.Fatal("NoLPTFallback dropped: the LPT fallback schedule was returned")
 	}
 }
 
